@@ -10,6 +10,12 @@ comparison-preserving, which is precisely what the verifier checks.
 The grid places x = 0 on a cell interface, cells are uniform with a
 shared width on both sides, and every update runs under the CFL bound
 dt <= cfl * dx / L with L = max |H'| over both fluxes.
+
+``FluxKernel`` computes the interface fluxes: each side validated and
+clamped once per step, demand and supply once per cell.  The node
+scheme of ``hj_solver`` steps with the same kernel applied to slopes.
+``solve`` marches a bare array with it and builds a ``CellField`` only
+at snapshots; ``step`` is the checked single update.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import GridMismatchError, StepError
 from .flux_models import CanonicalDatum, ConcaveFlux, canonical_eval
-from .junction import JunctionModel, junction_flux
+from .junction import JunctionModel
 
 
 @dataclass(frozen=True)
@@ -131,21 +137,47 @@ def godunov_flux(flux: ConcaveFlux, a, b):
     return np.minimum(flux.demand(a), flux.supply(b))
 
 
-def _interface_fluxes(state: CellField, j: JunctionModel) -> np.ndarray:
-    nl = state.grid.n_left
-    v = state.values
-    left = j.left.clamp(v[:nl])
-    right = j.right.clamp(v[nl:])
-    fluxes = np.empty(state.grid.n_cells + 1)
-    # outer edges: zero-gradient copy cells
-    fluxes[0] = godunov_flux(j.left, left[0], left[0])
-    fluxes[-1] = godunov_flux(j.right, right[-1], right[-1])
-    if nl > 1:
-        fluxes[1:nl] = godunov_flux(j.left, left[:-1], left[1:])
-    if state.grid.n_right > 1:
-        fluxes[nl + 1 : -1] = godunov_flux(j.right, right[:-1], right[1:])
-    fluxes[nl] = junction_flux(j, left[-1], right[0])
-    return fluxes
+class FluxKernel:
+    """Interface fluxes of a junction on a grid: the update shared by both schemes.
+
+    A call validates and clamps each side of ``values`` (densities, or
+    the slopes of a potential) once, then evaluates demand D and supply
+    S once per cell.  Interior interfaces carry min(D[:-1], S[1:]), the
+    junction min(A, D_left[-1], S_right[0]), and each outer edge the
+    Godunov flux min(D, S) of its cell against a copy of itself; with
+    ``plain_edges`` the outer edges carry H of the edge value instead
+    (the node scheme's arithmetic; the two differ by at most an ulp near
+    p_crit).  Work arrays are allocated once, so a march allocates
+    nothing of grid size per step; the returned fluxes are the kernel's
+    own buffer, overwritten by the next call.
+    """
+
+    def __init__(self, j: JunctionModel, grid: Grid):
+        self.j = j
+        self.n_left = grid.n_left
+        n = grid.n_cells
+        self._clamped = np.empty(n)
+        self._demand = np.empty(n)
+        self._supply = np.empty(n)
+        self._fluxes = np.empty(n + 1)
+
+    def __call__(self, values: np.ndarray, plain_edges: bool = False) -> np.ndarray:
+        j, nl = self.j, self.n_left
+        p, d, s, f = self._clamped, self._demand, self._supply, self._fluxes
+        for flux, side in ((j.left, slice(0, nl)), (j.right, slice(nl, None))):
+            flux.clamp(values[side], out=p[side])
+            flux.envelopes(p[side], d[side], s[side])
+        np.minimum(d[: nl - 1], s[1:nl], out=f[1:nl])
+        np.minimum(d[nl:-1], s[nl + 1 :], out=f[nl + 1 : -1])
+        f[nl] = min(j.limiter, d[nl - 1], s[nl])
+        if plain_edges:
+            # H(p) is D(p) up to p_crit and S(p) from there on
+            f[0] = d[0] if p[0] <= j.left.p_crit else s[0]
+            f[-1] = d[-1] if p[-1] <= j.right.p_crit else s[-1]
+        else:
+            f[0] = min(d[0], s[0])
+            f[-1] = min(d[-1], s[-1])
+        return f
 
 
 def step(state: CellField, j: JunctionModel, dt: float) -> CellField:
@@ -156,7 +188,7 @@ def step(state: CellField, j: JunctionModel, dt: float) -> CellField:
         raise StepError(f"dt must be positive, got {dt}")
     if dt * L > dx * (1.0 + 1e-12):
         raise StepError(f"CFL violation: dt={dt} exceeds dx/L={dx / L}")
-    fluxes = _interface_fluxes(state, j)
+    fluxes = FluxKernel(j, state.grid)(state.values)
     new_values = state.values - (dt / dx) * np.diff(fluxes)
     return CellField(
         grid=state.grid,
@@ -175,6 +207,21 @@ def plan_steps(t_from: float, t_to: float, dt_max: float) -> tuple[int, float]:
     n = max(1, math.ceil(span / dt_max - 1e-12))
     return n, span / n
 
+
+def check_march(cfl: float, t_end: float, snapshot_times: Sequence[float] | None) -> list[float]:
+    """Validate a march request; return its snapshot targets (default [t_end])."""
+    if not (0.0 < cfl <= 1.0):
+        raise StepError(f"cfl must lie in (0, 1], got {cfl}")
+    if t_end < 0.0:
+        raise StepError(f"t_end must be nonnegative, got {t_end}")
+    targets = [float(t_end)] if snapshot_times is None else [float(t) for t in snapshot_times]
+    if any(t < 0.0 or t > t_end + 1e-12 for t in targets):
+        raise StepError(f"snapshot times {targets} outside [0, {t_end}]")
+    if any(b < a for a, b in zip(targets, targets[1:])):
+        raise StepError(f"snapshot times {targets} must be nondecreasing")
+    return targets
+
+
 def solve(
     rho0: CellField,
     j: JunctionModel,
@@ -188,25 +235,28 @@ def solve(
     hit exactly by dividing each span into equal CFL-compliant steps.
     When omitted, the single snapshot [t_end] is produced.
     """
-    if not (0.0 < cfl <= 1.0):
-        raise StepError(f"cfl must lie in (0, 1], got {cfl}")
-    if t_end < 0.0:
-        raise StepError(f"t_end must be nonnegative, got {t_end}")
-    targets = [float(t_end)] if snapshot_times is None else [float(t) for t in snapshot_times]
-    if any(t < 0.0 or t > t_end + 1e-12 for t in targets):
-        raise StepError(f"snapshot times {targets} outside [0, {t_end}]")
-    if any(b < a for a, b in zip(targets, targets[1:])):
-        raise StepError(f"snapshot times {targets} must be nondecreasing")
-
-    dt_max = cfl * rho0.grid.dx / j.lipschitz_bound
-    state = rho0.copy()
+    targets = check_march(cfl, t_end, snapshot_times)
+    grid = rho0.grid
+    dx = grid.dx
+    dt_max = cfl * dx / j.lipschitz_bound
+    kernel = FluxKernel(j, grid)
+    v = rho0.values.copy()
+    dv = np.empty_like(v)
+    t_now = rho0.time
+    left_int, right_int = rho0.left_flux_time_integral, rho0.right_flux_time_integral
     out: list[CellField] = []
     for target in targets:
-        n, dt = plan_steps(state.time, target, dt_max)
+        n, dt = plan_steps(t_now, target, dt_max)
+        lam = dt / dx
         for _ in range(n):
-            state = step(state, j, dt)
-        state.time = target
-        out.append(state.copy())
+            fluxes = kernel(v)
+            np.subtract(fluxes[1:], fluxes[:-1], out=dv)
+            dv *= lam
+            v -= dv
+            left_int = left_int + dt * fluxes[0]
+            right_int = right_int + dt * fluxes[-1]
+        t_now = target
+        out.append(CellField(grid, v.copy(), target, left_int, right_int))
     return out
 
 

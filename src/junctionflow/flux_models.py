@@ -25,12 +25,19 @@ On top of pointwise evaluation the module computes
 
 Densities are validated with an absolute tolerance of 1e-9 at the
 domain boundaries and clamped on ingestion, so solver round-off never
-trips spurious domain errors.
+trips spurious domain errors.  ``clamp`` tests the range with one
+min/max pair and scans for the offending value only when that fails.
+The pointwise methods validate every call; ``envelopes`` is their
+unvalidated array form for the schemes' inner loop, which clamps each
+side once per step (``cl_solver.FluxKernel``) and then needs demand and
+supply of the same cells, bit for bit as ``demand``/``supply`` give
+them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
@@ -92,6 +99,14 @@ class ConcaveFlux:
         raise NotImplementedError
 
     def eval(self, p: ArrayLike) -> ArrayLike:
+        arr, scalar = _as_input(self.clamp(p))
+        return _as_output(self._flow(arr), scalar)
+
+    def _flow_into(self, p: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """Write H(p) into ``out`` for densities already inside [0, rmax]; unvalidated.
+
+        ``work`` (same shape) may be overwritten.  Returns ``out``.
+        """
         raise NotImplementedError
 
     def derivative(self, p: ArrayLike) -> ArrayLike:
@@ -118,15 +133,22 @@ class ConcaveFlux:
 
     # -- generic operations -----------------------------------------------
 
-    def clamp(self, p: ArrayLike) -> ArrayLike:
-        """Validate p against [0, rmax] (tolerance BOUNDARY_TOL) and clamp."""
+    def clamp(self, p: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
+        """Validate p against [0, rmax] (tolerance BOUNDARY_TOL) and clamp.
+
+        With ``out`` (an array shaped like p) the clamped values are
+        written there instead of into a new array.
+        """
         arr, scalar = _as_input(p)
+        # fast path: one min/max pair; a NaN anywhere fails both comparisons
+        if arr.size and arr.min() >= -BOUNDARY_TOL and arr.max() <= self.rmax + BOUNDARY_TOL:
+            return _as_output(np.clip(arr, 0.0, self.rmax, out=out), scalar)
         if not np.all(np.isfinite(arr)):
             raise DomainError("density must be finite")
         if np.any(arr < -BOUNDARY_TOL) or np.any(arr > self.rmax + BOUNDARY_TOL):
             bad = arr if scalar else arr[(arr < -BOUNDARY_TOL) | (arr > self.rmax + BOUNDARY_TOL)].flat[0]
             raise DomainError(f"density {float(bad)} outside [0, {self.rmax}]")
-        return _as_output(np.clip(arr, 0.0, self.rmax), scalar)
+        return _as_output(np.clip(arr, 0.0, self.rmax, out=out), scalar)
 
     def clamp_level(self, a: float) -> float:
         """Validate a flow level against [0, capacity] and clamp."""
@@ -141,12 +163,36 @@ class ConcaveFlux:
     def demand(self, p: ArrayLike) -> ArrayLike:
         """Nondecreasing envelope of H: H(p) up to p_crit, capacity beyond."""
         arr, scalar = _as_input(self.clamp(p))
-        return _as_output(self.eval(np.minimum(arr, self.p_crit)), scalar)
+        return _as_output(self._flow(np.minimum(arr, self.p_crit)), scalar)
 
     def supply(self, p: ArrayLike) -> ArrayLike:
         """Nonincreasing envelope of H: capacity up to p_crit, H(p) beyond."""
         arr, scalar = _as_input(self.clamp(p))
-        return _as_output(self.eval(np.maximum(arr, self.p_crit)), scalar)
+        return _as_output(self._flow(np.maximum(arr, self.p_crit)), scalar)
+
+    def envelopes(self, p: np.ndarray, demand_out: np.ndarray, supply_out: np.ndarray) -> None:
+        """Write demand(p) and supply(p) for an array p already clamped to [0, rmax].
+
+        Bit for bit the values of ``demand``/``supply``, which evaluate H
+        at min(p, p_crit) and max(p, p_crit), but from one evaluation of
+        H(p), no validation and no new arrays of p's size: the inner loop
+        of the schemes, which clamp once per step.
+        """
+        pc = self.p_crit
+        self._flow_into(p, demand_out, supply_out)
+        np.copyto(supply_out, demand_out)
+        np.copyto(demand_out, self._peak_flow, where=p > pc)
+        np.copyto(supply_out, self._peak_flow, where=p < pc)
+
+    @functools.cached_property
+    def _peak_flow(self) -> float:
+        """H(p_crit) as the formula evaluates it, which may miss ``capacity`` by an ulp."""
+        return float(self._flow(self.p_crit))
+
+    def _flow(self, p: ArrayLike) -> np.ndarray:
+        """H of densities already inside [0, rmax], into a new array; unvalidated."""
+        arr = np.asarray(p, dtype=float)
+        return self._flow_into(arr, np.empty_like(arr), np.empty_like(arr))
 
     def truncated_conjugate_argmax(self, a: float, v: float) -> tuple[float, float]:
         """(value, maximizer) of y -> -v*y + min(H(y), a) over [0, rmax].
@@ -200,9 +246,11 @@ class QuadraticFlux(ConcaveFlux):
     def equality_tol(self) -> float:
         return 1e-12
 
-    def eval(self, p: ArrayLike) -> ArrayLike:
-        arr, scalar = _as_input(self.clamp(p))
-        return _as_output(self._coef * arr * (self.rmax - arr), scalar)
+    def _flow_into(self, p: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        # (coef * p) * (rmax - p), the evaluation order every frozen value was taken with
+        np.multiply(self._coef, p, out=out)
+        np.subtract(self.rmax, p, out=work)
+        return np.multiply(out, work, out=out)
 
     def derivative(self, p: ArrayLike) -> ArrayLike:
         arr, scalar = _as_input(self.clamp(p))
@@ -284,9 +332,9 @@ class PiecewiseLinearFlux(ConcaveFlux):
     def equality_tol(self) -> float:
         return 1e-9
 
-    def eval(self, p: ArrayLike) -> ArrayLike:
-        arr, scalar = _as_input(self.clamp(p))
-        return _as_output(np.interp(arr, self._px, self._hy), scalar)
+    def _flow_into(self, p: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        np.copyto(out, np.interp(p, self._px, self._hy))
+        return out
 
     def derivative(self, p: ArrayLike) -> ArrayLike:
         arr, scalar = _as_input(self.clamp(p))

@@ -5,7 +5,8 @@ exactly, so states survive the external-process protocol bit for bit.
 The junction is pinned at x = 0 in every file and each row carries its
 side ('l' left of the junction, 'r' right of it, 'j' the junction node
 itself) so there is no off-by-one ambiguity about where the interface
-sits.
+sits.  Read against a known grid (the external-process protocol), a
+file is checked row by row: coordinates, side tags and finite values.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .cl_solver import CellField, Grid
-from .errors import GridMismatchError
+from .errors import DomainError, GridMismatchError
 from .hj_solver import NodeField
 
 
@@ -25,65 +26,93 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def write_cell_csv(path, state: CellField) -> None:
-    """Write cells as rows (x center, density, side)."""
-    xs = state.grid.cell_centers()
-    nl = state.grid.n_left
+def _cell_sides(grid: Grid) -> list[str]:
+    return ["l"] * grid.n_left + ["r"] * grid.n_right
+
+
+def _node_sides(grid: Grid) -> list[str]:
+    return ["l"] * grid.n_left + ["j"] + ["r"] * grid.n_right
+
+
+def _write_rows(path, header: list[str], xs: np.ndarray, values: np.ndarray, sides: list[str]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["x", "rho", "side"])
-        for i, (x, v) in enumerate(zip(xs, state.values)):
-            w.writerow([_fmt(x), _fmt(v), "l" if i < nl else "r"])
+        w.writerow(header)
+        for x, v, side in zip(xs, values, sides):
+            w.writerow([_fmt(x), _fmt(v), side])
+
+
+def write_cell_csv(path, state: CellField) -> None:
+    """Write cells as rows (x center, density, side)."""
+    _write_rows(path, ["x", "rho", "side"], state.grid.cell_centers(), state.values, _cell_sides(state.grid))
 
 
 def read_cell_csv(path, grid: Grid | None = None) -> CellField:
-    """Read a cell CSV; infer the grid from the centers unless one is given."""
-    xs, vals = _read_xy(path, "rho")
+    """Read a cell CSV; infer the grid from the centers unless one is given.
+
+    Against a given grid every row must sit at its cell center (within
+    1e-9 * max(dx, 1)) and, when the file has a side column, carry its
+    side's tag.  Every value must be finite.
+    """
+    xs, vals, sides = _read_rows(path, "rho")
     if grid is None:
         grid = _grid_from_centers(xs)
     else:
-        if len(xs) != grid.n_cells:
-            raise GridMismatchError(f"{path}: {len(xs)} rows for a grid with {grid.n_cells} cells")
-    return CellField(grid=grid, values=np.array(vals))
+        _check_rows(path, xs, sides, grid, grid.cell_centers(), _cell_sides(grid), "cells")
+    return CellField(grid=grid, values=vals)
 
 
 def write_node_csv(path, state: NodeField) -> None:
     """Write nodes as rows (x, u, side); the x = 0 node is tagged 'j'."""
-    xs = state.grid.node_coords()
-    nl = state.grid.n_left
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "u", "side"])
-        for i, (x, v) in enumerate(zip(xs, state.values)):
-            side = "j" if i == nl else ("l" if i < nl else "r")
-            w.writerow([_fmt(x), _fmt(v), side])
+    _write_rows(path, ["x", "u", "side"], state.grid.node_coords(), state.values, _node_sides(state.grid))
 
 
 def read_node_csv(path, grid: Grid | None = None) -> NodeField:
-    xs, vals = _read_xy(path, "u")
+    """Read a node CSV; the same checks as ``read_cell_csv``, against the nodes."""
+    xs, vals, sides = _read_rows(path, "u")
     if grid is None:
         grid = _grid_from_nodes(xs)
     else:
-        if len(xs) != grid.n_cells + 1:
-            raise GridMismatchError(f"{path}: {len(xs)} rows for a grid with {grid.n_cells + 1} nodes")
-    return NodeField(grid=grid, values=np.array(vals))
+        _check_rows(path, xs, sides, grid, grid.node_coords(), _node_sides(grid), "nodes")
+    return NodeField(grid=grid, values=vals)
 
 
-def _read_xy(path, value_col: str) -> tuple[list[float], list[float]]:
+def _read_rows(path, value_col: str) -> tuple[np.ndarray, np.ndarray, list[str] | None]:
+    """The x and value columns, and the side column when the file has one."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "x" not in reader.fieldnames or value_col not in reader.fieldnames:
             raise GridMismatchError(f"{path}: expected columns x,{value_col}")
-        xs, vals = [], []
+        has_side = "side" in reader.fieldnames
+        xs, vals, sides = [], [], []
         for row in reader:
             xs.append(float(row["x"]))
             vals.append(float(row[value_col]))
+            if has_side:
+                sides.append(row["side"])
     if len(xs) < 2:
         raise GridMismatchError(f"{path}: too few rows")
-    return xs, vals
+    vals = np.array(vals)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise DomainError(f"{path}: data row {bad[0] + 1} holds the non-finite value {_fmt(vals[bad[0]])}")
+    return np.array(xs), vals, sides if has_side else None
 
 
-def _uniform_spacing(xs: list[float]) -> float:
+def _check_rows(path, xs, sides, grid: Grid, expected_x: np.ndarray, expected_sides: list[str], what: str) -> None:
+    if len(xs) != len(expected_x):
+        raise GridMismatchError(f"{path}: {len(xs)} rows for a grid with {len(expected_x)} {what}")
+    # written so that a NaN coordinate fails too
+    off = np.flatnonzero(~(np.abs(xs - expected_x) <= 1e-9 * max(grid.dx, 1.0)))
+    if off.size:
+        k = off[0]
+        raise GridMismatchError(f"{path}: data row {k + 1} has x = {_fmt(xs[k])}, the grid puts {_fmt(expected_x[k])} there")
+    if sides is not None and sides != expected_sides:
+        k = next(i for i, (got, want) in enumerate(zip(sides, expected_sides)) if got != want)
+        raise GridMismatchError(f"{path}: data row {k + 1} is tagged side {sides[k]!r}, expected {expected_sides[k]!r}")
+
+
+def _uniform_spacing(xs: np.ndarray) -> float:
     diffs = np.diff(xs)
     dx = float(np.median(diffs))
     if dx <= 0.0 or np.any(np.abs(diffs - dx) > 1e-9 * max(dx, 1.0)):
@@ -91,7 +120,7 @@ def _uniform_spacing(xs: list[float]) -> float:
     return dx
 
 
-def _grid_from_centers(xs: list[float]) -> Grid:
+def _grid_from_centers(xs: np.ndarray) -> Grid:
     dx = _uniform_spacing(xs)
     n_left = int(np.sum(np.asarray(xs) < 0.0))
     grid = Grid(n_left=n_left, n_right=len(xs) - n_left, dx=dx)
@@ -100,7 +129,7 @@ def _grid_from_centers(xs: list[float]) -> Grid:
     return grid
 
 
-def _grid_from_nodes(xs: list[float]) -> Grid:
+def _grid_from_nodes(xs: np.ndarray) -> Grid:
     dx = _uniform_spacing(xs)
     n_left = int(np.sum(np.asarray(xs) < 0.0))
     if abs(xs[n_left]) > 1e-9 * max(dx, 1.0):

@@ -17,12 +17,17 @@ Three independent ways to produce u(t) live here:
 * ``hj_direct_solve``: a monotone finite-difference scheme whose node
   at x = 0 enforces the capped exchange
   min{A, demand_left(backward slope), supply_right(forward slope)}
-  pointwise.
+  pointwise.  Its node Hamiltonians are the interface fluxes of the
+  slopes, so it steps u -= dt * F(diff(u) / dx) with the density
+  scheme's ``FluxKernel``; only its two outer nodes differ, carrying
+  H of their one slope rather than a copy-cell Godunov flux.
 
 The direct scheme's slope dynamics coincide with the Godunov update, so
-the two discrete routes agree up to accumulated round-off; their mutual
-gap and their distance to the closed forms are what the verifier and
-the acceptance suite measure.
+the two discrete routes agree up to accumulated round-off.
+``hj_from_cl`` steps no potential: it reads u off a density run by
+cumulative sums, so it remains the independent route.  The mutual gap
+of the two routes and their distance to the closed forms are what the
+verifier and the acceptance suite measure.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cl_solver import CellField, Grid, plan_steps
-from .errors import DomainError, GridMismatchError, StepError
+from .cl_solver import CellField, FluxKernel, Grid, check_march, plan_steps
+from .errors import DomainError, GridMismatchError
 from .flux_models import CanonicalDatum, DatumShape, canonical_eval
 from .junction import JunctionModel
 
@@ -201,23 +206,6 @@ def hj_from_cl(cl_run: Sequence[CellField], u0: NodeField, j: JunctionModel) -> 
     return out
 
 
-def _node_hamiltonians(u: np.ndarray, grid: Grid, j: JunctionModel) -> np.ndarray:
-    nl = grid.n_left
-    p = np.diff(u) / grid.dx
-    pl = p[:nl]
-    pr = p[nl:]
-    h = np.empty(grid.n_cells + 1)
-    # outer nodes copy the adjacent one-sided slope (zero-gradient in slope)
-    h[0] = j.left.eval(pl[0])
-    h[-1] = j.right.eval(pr[-1])
-    if nl > 1:
-        h[1:nl] = np.minimum(j.left.demand(pl[:-1]), j.left.supply(pl[1:]))
-    if grid.n_right > 1:
-        h[nl + 1 : -1] = np.minimum(j.right.demand(pr[:-1]), j.right.supply(pr[1:]))
-    h[nl] = min(j.limiter, j.left.demand(pl[-1]), j.right.supply(pr[0]))
-    return h
-
-
 def hj_direct_solve(
     u0: NodeField,
     j: JunctionModel,
@@ -227,32 +215,30 @@ def hj_direct_solve(
 ) -> list[NodeField]:
     """March the monotone node scheme to t_end, snapshotting exactly like cl_solver.solve.
 
-    Interior nodes move by the Godunov Hamiltonian of their one-sided
-    slopes, the junction node by the capped exchange, and the outer
-    nodes by the plain flux of their single available slope.  Slopes are
-    validated against the Lip class (tolerance 1e-9) and clamped inside
-    the envelope evaluations.
+    Each node moves by the interface flux of ``cl_solver`` evaluated on
+    the slopes: interior nodes by the Godunov Hamiltonian of their
+    one-sided slopes, the junction node by the capped exchange, and the
+    outer nodes by the plain flux of their single available slope.
+    Slopes are validated against the Lip class (tolerance 1e-9) on entry
+    and clamped once per step.
     """
-    if not (0.0 < cfl <= 1.0):
-        raise StepError(f"cfl must lie in (0, 1], got {cfl}")
-    if t_end < 0.0:
-        raise StepError(f"t_end must be nonnegative, got {t_end}")
+    targets = check_march(cfl, t_end, snapshot_times)
     validate_lip(u0, j)
-    targets = [float(t_end)] if snapshot_times is None else [float(t) for t in snapshot_times]
-    if any(t < 0.0 or t > t_end + 1e-12 for t in targets):
-        raise StepError(f"snapshot times {targets} outside [0, {t_end}]")
-    if any(b < a for a, b in zip(targets, targets[1:])):
-        raise StepError(f"snapshot times {targets} must be nondecreasing")
-
     grid = u0.grid
     dt_max = cfl * grid.dx / j.lipschitz_bound
+    kernel = FluxKernel(j, grid)
     u = u0.values.copy()
+    slopes = np.empty(grid.n_cells)
     t_now = u0.time
     out: list[NodeField] = []
     for target in targets:
         n, dt = plan_steps(t_now, target, dt_max)
         for _ in range(n):
-            u = u - dt * _node_hamiltonians(u, grid, j)
+            np.subtract(u[1:], u[:-1], out=slopes)
+            slopes /= grid.dx
+            h = kernel(slopes, plain_edges=True)
+            h *= dt
+            u -= h
         t_now = target
         out.append(NodeField(grid=grid, values=u.copy(), time=target))
     return out

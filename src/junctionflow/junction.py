@@ -127,20 +127,22 @@ def riemann_traces(j: JunctionModel, rho_left: float, rho_right: float) -> Trace
     """Admissible trace pair the junction Riemann problem relaxes to.
 
     With f the capped exchange of the data, the upstream trace keeps
-    rho_left when it is free-flowing and already carries f, otherwise it
-    jams to the congested density carrying f; mirrored downstream.  This
-    is the unique admissible choice whose left waves all have speed <= 0
-    and right waves speed >= 0.
+    rho_left when it already carries f, otherwise it jams to the
+    congested density carrying f; mirrored downstream.  This is the
+    unique admissible choice whose left waves all have speed <= 0 and
+    right waves speed >= 0.  A congested rho_left that carries f already
+    is the congested root of f; it is kept as is, because the root that
+    ``roots`` recomputes can land an ulp away and read as a shock.
     """
     rl = j.left.clamp(rho_left)
     rr = j.right.clamp(rho_right)
     f = junction_flux(j, rl, rr)
 
-    if rl <= j.left.p_crit and abs(j.left.eval(rl) - f) <= j.left.equality_tol:
+    if abs(j.left.eval(rl) - f) <= j.left.equality_tol:
         q_minus = rl
     else:
         q_minus = j.left.roots(f)[1]
-    if rr >= j.right.p_crit and abs(j.right.eval(rr) - f) <= j.right.equality_tol:
+    if abs(j.right.eval(rr) - f) <= j.right.equality_tol:
         q_plus = rr
     else:
         q_plus = j.right.roots(f)[0]

@@ -172,10 +172,11 @@ class SemigroupHandle:
                     raise StepError(
                         f"external semi-group {argv[0]} exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
                     )
-                if is_cl:
-                    state = formats.read_cell_csv(dst, grid=state0.grid)
-                else:
-                    state = formats.read_node_csv(dst, grid=state0.grid)
+                read = formats.read_cell_csv if is_cl else formats.read_node_csv
+                try:
+                    state = read(dst, grid=state0.grid)
+                except (OSError, ValueError) as exc:
+                    raise StepError(f"external semi-group {argv[0]} wrote an unusable state: {exc}") from exc
                 state.time = float(t)
                 out.append(state)
         return out

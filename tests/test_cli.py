@@ -314,6 +314,52 @@ def test_verify_broken_external_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+# External commands whose output the audit must refuse: rows reversed and shifted by 7,
+# one value replaced by NaN, and no output file at all.
+MISGRIDDED_EXTERNAL = """
+import csv, sys
+header, *rows = list(csv.reader(open(sys.argv[1])))
+with open(sys.argv[3], "w", newline="") as fh:
+    w = csv.writer(fh)
+    w.writerow(header)
+    for x, v, side in reversed(rows):
+        w.writerow([repr(float(x) + 7.0), v, side])
+"""
+
+NAN_EXTERNAL = """
+import csv, sys
+header, *rows = list(csv.reader(open(sys.argv[1])))
+rows[len(rows) // 2][1] = "nan"
+with open(sys.argv[3], "w", newline="") as fh:
+    csv.writer(fh).writerows([header, *rows])
+"""
+
+
+@pytest.mark.parametrize(
+    "source,flag,message",
+    [
+        (MISGRIDDED_EXTERNAL, "--external-cl", "data row 1 has x"),
+        (MISGRIDDED_EXTERNAL, "--external-hj", "data row 1 has x"),
+        (NAN_EXTERNAL, "--external-cl", "non-finite value nan"),
+        (NAN_EXTERNAL, "--external-hj", "non-finite value nan"),
+        ("", "--external-cl", "No such file"),
+    ],
+    ids=["misgridded-cl", "misgridded-hj", "nan-cl", "nan-hj", "no-output"],
+)
+def test_verify_rejects_unusable_external_output(tmp_path, capsys, source, flag, message):
+    cfg = write_config(tmp_path, cells=64, datum=None)
+    script = tmp_path / "ext.py"
+    script.write_text(source)
+    rc = main(
+        ["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+         flag, sys.executable, str(script),
+         "--l1-trials", "1", "--linf-trials", "1", "--scan-grid", "2"]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "wrote an unusable state" in err and message in err
+
+
 def test_verify_unfaithful_external_fails(tmp_path, capsys):
     cfg = write_config(tmp_path, cells=128, datum=None)
     script = tmp_path / "identity.py"

@@ -9,6 +9,7 @@ import pytest
 
 from junctionflow import (
     CellField,
+    DomainError,
     Grid,
     GridMismatchError,
     NodeField,
@@ -56,6 +57,64 @@ def test_cell_csv_rejects_wrong_grid(tmp_path):
     write_cell_csv(path, state)
     with pytest.raises(GridMismatchError):
         read_cell_csv(path, Grid.from_domain(-1.0, 1.0, 80))
+
+
+def _rewrite(path, edit) -> None:
+    header, *rows = path.read_text().strip().splitlines()
+    rows = [r.split(",") for r in rows]
+    edit(rows)
+    path.write_text("\n".join([header, *(",".join(r) for r in rows)]) + "\n")
+
+
+def test_csv_rows_checked_against_given_grid(tmp_path):
+    grid = Grid.from_domain(-1.0, 1.0, 40)
+    path = tmp_path / "cells.csv"
+    write_cell_csv(path, CellField(grid, np.linspace(0.0, 1.0, 40)))
+
+    def shift_and_reverse(rows):
+        rows.reverse()
+        for r in rows:
+            r[0] = repr(float(r[0]) + 7.0)
+
+    _rewrite(path, shift_and_reverse)
+    with pytest.raises(GridMismatchError, match="data row 1 has x"):
+        read_cell_csv(path, grid)
+
+    write_cell_csv(path, CellField(grid, np.linspace(0.0, 1.0, 40)))
+    _rewrite(path, lambda rows: rows[3].__setitem__(0, "nan"))
+    with pytest.raises(GridMismatchError, match="data row 4 has x = nan"):
+        read_cell_csv(path, grid)
+
+    write_cell_csv(path, CellField(grid, np.linspace(0.0, 1.0, 40)))
+    _rewrite(path, lambda rows: rows[grid.n_left].__setitem__(2, "l"))
+    with pytest.raises(GridMismatchError, match=f"data row {grid.n_left + 1} is tagged side 'l'"):
+        read_cell_csv(path, grid)
+
+
+def test_csv_coordinates_tolerate_roundoff_only(tmp_path):
+    grid = Grid.from_domain(-1.0, 1.0, 40)
+    path = tmp_path / "nodes.csv"
+    write_node_csv(path, NodeField(grid, np.zeros(41)))
+    _rewrite(path, lambda rows: rows[5].__setitem__(0, repr(float(rows[5][0]) + 1e-12)))
+    assert read_node_csv(path, grid).grid == grid
+    _rewrite(path, lambda rows: rows[5].__setitem__(0, repr(float(rows[5][0]) + 1e-6)))
+    with pytest.raises(GridMismatchError, match="data row 6 has x"):
+        read_node_csv(path, grid)
+    # a file without side tags is read on its coordinates alone
+    path.write_text("x,u\n" + "".join(f"{float(x)!r},0.0\n" for x in grid.node_coords()))
+    assert read_node_csv(path, grid).values.shape == (41,)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_values(tmp_path, bad):
+    grid = Grid.from_domain(-1.0, 1.0, 40)
+    path = tmp_path / "nodes.csv"
+    write_node_csv(path, NodeField(grid, np.zeros(41)))
+    _rewrite(path, lambda rows: rows[7].__setitem__(1, bad))
+    with pytest.raises(DomainError, match="data row 8 holds the non-finite value"):
+        read_node_csv(path, grid)
+    with pytest.raises(DomainError, match="non-finite"):
+        read_node_csv(path)
 
 
 def test_side_column_tags_junction(tmp_path):

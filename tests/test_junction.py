@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from junctionflow import (
@@ -190,6 +190,17 @@ junctions = st.builds(
 
 
 @given(j=junctions, rl=st.floats(0.0, 1.0), rr=st.floats(0.0, 1.0))
+@example(
+    # congested data already carrying f: the congested root of f lands one
+    # ulp above rl, which once read as a left-moving shock of speed 0.17
+    j=JunctionModel(
+        left=QuadraticFlux(rmax=1.0, hmax=0.36586783861683325),
+        right=QuadraticFlux(rmax=1.0, hmax=0.36586783861683325),
+        limiter=0.36586783861683325,
+    ),
+    rl=0.530210358639846,
+    rr=0.530210358639846,
+)
 @settings(deadline=None, max_examples=200)
 def test_traces_consistent_for_random_junctions(j, rl, rr):
     tr = riemann_traces(j, rl, rr)
