@@ -33,7 +33,7 @@ def main() -> None:
 
     flux = QuadraticFlux(rmax=1.0, hmax=0.25)
     model = JunctionModel(flux, flux, args.cap)
-    handle = SemigroupHandle(kind="cl_internal", model=model, dx=args.dx)
+    handle = SemigroupHandle("cl", model=model, dx=args.dx)
     scan = empirical_germ_scan(handle, grid_n=args.grid_n, t_end=args.t_end)
 
     print(f"cap estimate from probe run: {scan.limiter_estimate:.10f}")

@@ -39,8 +39,8 @@ def main() -> None:
     print(f"{'configured':>12} {'potential probe':>16} {'density probe':>16} {'gap':>10}")
     for cap in args.caps:
         model = JunctionModel(flux, flux, cap)
-        h_hj = SemigroupHandle(kind="hj_internal", model=model, dx=args.dx, state_kind="hj")
-        h_cl = SemigroupHandle(kind="cl_internal", model=model, dx=args.dx)
+        h_hj = SemigroupHandle("hj", model=model, dx=args.dx)
+        h_cl = SemigroupHandle("cl", model=model, dx=args.dx)
         a_hj = identify_limiter_hj(h_hj)
         a_cl = identify_limiter_cl(h_cl)
         print(f"{cap:>12.6f} {a_hj:>16.10f} {a_cl:>16.10f} {abs(a_hj - a_cl):>10.2e}")

@@ -15,14 +15,16 @@ dt <= cfl * dx / L with L = max |H'| over both fluxes.
 clamped once per step, demand and supply once per cell.  The node
 scheme of ``hj_solver`` steps with the same kernel applied to slopes.
 ``solve`` marches a bare array with it and builds a ``CellField`` only
-at snapshots; ``step`` is the checked single update.
+at snapshots; ``step`` is the checked single update.  ``plan_march`` is
+the one step planner: both schemes, the verifier's step counts and the
+CLI manifests read their legs from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,11 +163,17 @@ class FluxKernel:
         self._supply = np.empty(n)
         self._fluxes = np.empty(n + 1)
 
+    def clamp(self, values: np.ndarray) -> np.ndarray:
+        """Validate and clamp each side of ``values`` into the kernel's work buffer."""
+        nl, p = self.n_left, self._clamped
+        self.j.left.clamp(values[:nl], out=p[:nl])
+        self.j.right.clamp(values[nl:], out=p[nl:])
+        return p
+
     def __call__(self, values: np.ndarray, plain_edges: bool = False) -> np.ndarray:
         j, nl = self.j, self.n_left
-        p, d, s, f = self._clamped, self._demand, self._supply, self._fluxes
+        p, d, s, f = self.clamp(values), self._demand, self._supply, self._fluxes
         for flux, side in ((j.left, slice(0, nl)), (j.right, slice(nl, None))):
-            flux.clamp(values[side], out=p[side])
             flux.envelopes(p[side], d[side], s[side])
         np.minimum(d[: nl - 1], s[1:nl], out=f[1:nl])
         np.minimum(d[nl:-1], s[nl + 1 :], out=f[nl + 1 : -1])
@@ -212,14 +220,44 @@ def check_march(cfl: float, t_end: float, snapshot_times: Sequence[float] | None
     """Validate a march request; return its snapshot targets (default [t_end])."""
     if not (0.0 < cfl <= 1.0):
         raise StepError(f"cfl must lie in (0, 1], got {cfl}")
-    if t_end < 0.0:
-        raise StepError(f"t_end must be nonnegative, got {t_end}")
+    if not (0.0 <= t_end < math.inf):
+        raise StepError(f"t_end must be finite and nonnegative, got {t_end}")
     targets = [float(t_end)] if snapshot_times is None else [float(t) for t in snapshot_times]
-    if any(t < 0.0 or t > t_end + 1e-12 for t in targets):
-        raise StepError(f"snapshot times {targets} outside [0, {t_end}]")
+    if not all(0.0 <= t <= t_end + 1e-12 for t in targets):
+        raise StepError(f"snapshots {targets} outside [0, t_end={t_end}]")
     if any(b < a for a, b in zip(targets, targets[1:])):
-        raise StepError(f"snapshot times {targets} must be nondecreasing")
+        raise StepError(f"snapshots {targets} must be nondecreasing")
     return targets
+
+
+class Leg(NamedTuple):
+    """One span of a march: n_steps equal steps of size dt from t_from to t_to."""
+
+    t_from: float
+    t_to: float
+    n_steps: int
+    dt: float
+
+
+def plan_march(
+    j: JunctionModel,
+    dx: float,
+    t_end: float,
+    cfl: float,
+    snapshot_times: Sequence[float] | None,
+    t0: float = 0.0,
+) -> list[Leg]:
+    """Validate a march request and split it into one leg per snapshot target.
+
+    Each leg divides its span into equal steps within the CFL bound
+    dt <= cfl * dx / L, so every snapshot time is hit exactly.
+    """
+    dt_max = cfl * dx / j.lipschitz_bound
+    legs, t_now = [], t0
+    for target in check_march(cfl, t_end, snapshot_times):
+        legs.append(Leg(t_now, target, *plan_steps(t_now, target, dt_max)))
+        t_now = target
+    return legs
 
 
 def solve(
@@ -233,30 +271,29 @@ def solve(
 
     Snapshot times must be nondecreasing and within [0, t_end]; they are
     hit exactly by dividing each span into equal CFL-compliant steps.
-    When omitted, the single snapshot [t_end] is produced.
+    When omitted, the single snapshot [t_end] is produced.  The datum is
+    validated on entry, so a march of no steps rejects it too.
     """
-    targets = check_march(cfl, t_end, snapshot_times)
     grid = rho0.grid
     dx = grid.dx
-    dt_max = cfl * dx / j.lipschitz_bound
+    legs = plan_march(j, dx, t_end, cfl, snapshot_times, t0=rho0.time)
     kernel = FluxKernel(j, grid)
+    kernel.clamp(rho0.values)
     v = rho0.values.copy()
     dv = np.empty_like(v)
-    t_now = rho0.time
     left_int, right_int = rho0.left_flux_time_integral, rho0.right_flux_time_integral
     out: list[CellField] = []
-    for target in targets:
-        n, dt = plan_steps(t_now, target, dt_max)
+    for leg in legs:
+        dt = leg.dt
         lam = dt / dx
-        for _ in range(n):
+        for _ in range(leg.n_steps):
             fluxes = kernel(v)
             np.subtract(fluxes[1:], fluxes[:-1], out=dv)
             dv *= lam
             v -= dv
             left_int = left_int + dt * fluxes[0]
             right_int = right_int + dt * fluxes[-1]
-        t_now = target
-        out.append(CellField(grid, v.copy(), target, left_int, right_int))
+        out.append(CellField(grid, v.copy(), leg.t_to, left_int, right_int))
     return out
 
 

@@ -92,9 +92,6 @@ class ScenarioConfig:
     def build_grid(self) -> cl.Grid:
         return cl.Grid.from_domain(self.domain[0], self.domain[1], self.cells)
 
-    def snapshot_list(self) -> list[float]:
-        return list(self.snapshots) if self.snapshots else [self.t_end]
-
 
 # -- config parsing ----------------------------------------------------------
 
@@ -119,14 +116,14 @@ def _parse_datum(block, a_max: float, path: str = "datum") -> DatumSpec:
         if name == "riemann":
             left = _as_float(block.get("left"), f"{path}.left")
             right = _as_float(block.get("right"), f"{path}.right")
-            return DatumSpec(kind="riemann", riemann=(left, right))
+            return DatumSpec("riemann", riemann=(left, right))
         if name in _CANONICAL_NAMES:
             level = block.get("level")
             if level == "amax":
                 level = a_max
             level = _as_float(level, f"{path}.level")
             try:
-                return DatumSpec(kind="canonical", canonical=CanonicalDatum(shape=name, level=level))
+                return DatumSpec("canonical", canonical=CanonicalDatum(shape=name, level=level))
             except ValueError as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
         raise ConfigError(
@@ -145,7 +142,7 @@ def _parse_datum(block, a_max: float, path: str = "datum") -> DatumSpec:
             )
         if any(b >= c for b, c in zip(breaks, breaks[1:])):
             raise ConfigError(f"{path}.piecewise_constant.breaks: must be strictly increasing")
-        return DatumSpec(kind="piecewise_constant", breaks=breaks, values=values)
+        return DatumSpec("piecewise_constant", breaks=breaks, values=values)
     if "piecewise_linear" in block:
         table = block["piecewise_linear"]
         if not isinstance(table, dict):
@@ -159,7 +156,7 @@ def _parse_datum(block, a_max: float, path: str = "datum") -> DatumSpec:
             raise ConfigError(f"{path}.piecewise_linear.points: need at least 2 points")
         if any(a[0] >= b[0] for a, b in zip(points, points[1:])):
             raise ConfigError(f"{path}.piecewise_linear.points: x must be strictly increasing")
-        return DatumSpec(kind="piecewise_linear", points=points)
+        return DatumSpec("piecewise_linear", points=points)
     raise ConfigError(
         f"{path}: expected a named datum, a piecewise_constant table, or a piecewise_linear table"
     )
@@ -201,21 +198,15 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         raise ConfigError(f"cells: need at least 8, got {cells}")
 
     cfl = _as_float(data.get("cfl", 0.8), "cfl")
-    if not (0.0 < cfl <= 1.0):
-        raise ConfigError(f"cfl: must lie in (0, 1], got {cfl}")
-
     t_end = _as_float(data.get("t_end", 1.0), "t_end")
-    if t_end < 0.0:
-        raise ConfigError(f"t_end: must be nonnegative, got {t_end}")
-
     snaps_raw = data.get("snapshots", ())
     if not isinstance(snaps_raw, (list, tuple)):
         raise ConfigError(f"snapshots: expected a list of times, got {snaps_raw!r}")
     snapshots = tuple(_as_float(t, f"snapshots[{i}]") for i, t in enumerate(snaps_raw))
-    if any(t < 0.0 or t > t_end + 1e-12 for t in snapshots):
-        raise ConfigError(f"snapshots: times must lie in [0, t_end={t_end}]")
-    if any(b < a for a, b in zip(snapshots, snapshots[1:])):
-        raise ConfigError("snapshots: times must be nondecreasing")
+    try:
+        cl.check_march(cfl, t_end, snapshots or None)
+    except StepError as exc:
+        raise ConfigError(str(exc)) from exc
 
     datum = _parse_datum(data["datum"], a_max) if "datum" in data else None
 
@@ -306,14 +297,9 @@ def _grid_block(cfg: ScenarioConfig, grid: cl.Grid) -> dict:
     }
 
 
-def _steps_block(cfg: ScenarioConfig, grid: cl.Grid, targets: Sequence[float]) -> list[dict]:
-    dt_max = cfg.cfl * grid.dx / cfg.model.lipschitz_bound
-    out, t_now = [], 0.0
-    for t in targets:
-        n, dt = cl.plan_steps(t_now, t, dt_max)
-        out.append({"t_from": t_now, "t_to": t, "n_steps": n, "dt": dt})
-        t_now = t
-    return out
+def _steps_block(cfg: ScenarioConfig, grid: cl.Grid) -> list[dict]:
+    legs = cl.plan_march(cfg.model, grid.dx, cfg.t_end, cfg.cfl, cfg.snapshots or None)
+    return [leg._asdict() for leg in legs]
 
 
 def _write_manifest(out_dir: Path, payload: dict) -> Path:
@@ -379,8 +365,7 @@ def _cmd_solve_cl(cfg: ScenarioConfig, out_dir: Path) -> int:
     grid = cfg.build_grid()
     model = cfg.model
     rho0 = realize_cell_datum(cfg, grid)
-    targets = cfg.snapshot_list()
-    states = cl.solve(rho0, model, cfg.t_end, cfl=cfg.cfl, snapshot_times=targets)
+    states = cl.solve(rho0, model, cfg.t_end, cfl=cfg.cfl, snapshot_times=cfg.snapshots or None)
 
     files = {}
     for k, state in enumerate(states):
@@ -398,7 +383,7 @@ def _cmd_solve_cl(cfg: ScenarioConfig, out_dir: Path) -> int:
             "snapshots": [s.time for s in states],
             "mass": [cl.mass(s) for s in states],
             "traces": [list(cl.trace_estimate(s)) for s in states],
-            "steps": _steps_block(cfg, grid, targets),
+            "steps": _steps_block(cfg, grid),
         },
     )
     print(f"wrote {len(states)} density snapshot(s) to {out_dir}")
@@ -409,8 +394,7 @@ def _cmd_solve_hj(cfg: ScenarioConfig, out_dir: Path) -> int:
     grid = cfg.build_grid()
     model = cfg.model
     u0 = realize_node_datum(cfg, grid)
-    targets = cfg.snapshot_list()
-    states = hj.hj_direct_solve(u0, model, cfg.t_end, cfl=cfg.cfl, snapshot_times=targets)
+    states = hj.hj_direct_solve(u0, model, cfg.t_end, cfl=cfg.cfl, snapshot_times=cfg.snapshots or None)
 
     files = {}
     for k, state in enumerate(states):
@@ -427,7 +411,7 @@ def _cmd_solve_hj(cfg: ScenarioConfig, out_dir: Path) -> int:
             "files": files,
             "snapshots": [s.time for s in states],
             "value_at_zero": [s.value_at_zero() for s in states],
-            "steps": _steps_block(cfg, grid, targets),
+            "steps": _steps_block(cfg, grid),
         },
     )
     print(f"wrote {len(states)} potential snapshot(s) to {out_dir}")
@@ -478,14 +462,9 @@ def _cmd_exact_hj(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
 
 def _cmd_identify(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
     method = opts["method"]
-    kind = "hj_internal" if method == "hj" else "cl_internal"
-    handle = verifier.SemigroupHandle(
-        kind=kind, model=cfg.model, dx=cfg.dx, domain=cfg.domain, cfl=cfg.cfl
-    )
-    if method == "hj":
-        estimate = verifier.identify_limiter_hj(handle)
-    else:
-        estimate = verifier.identify_limiter_cl(handle)
+    handle = verifier.SemigroupHandle(scheme=method, model=cfg.model, dx=cfg.dx, domain=cfg.domain, cfl=cfg.cfl)
+    identify = verifier.identify_limiter_hj if method == "hj" else verifier.identify_limiter_cl
+    estimate = identify(handle)
     _write_manifest(
         out_dir,
         {
@@ -502,27 +481,12 @@ def _cmd_identify(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
 
 
 def _cmd_verify(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
-    cl_handle = hj_handle = None
-    if opts.get("external_cl"):
-        cl_handle = verifier.SemigroupHandle(
-            kind="external_process",
-            model=cfg.model,
-            dx=cfg.dx,
-            domain=cfg.domain,
-            cfl=cfg.cfl,
-            command=tuple(opts["external_cl"]),
-            state_kind="cl",
-        )
-    if opts.get("external_hj"):
-        hj_handle = verifier.SemigroupHandle(
-            kind="external_process",
-            model=cfg.model,
-            dx=cfg.dx,
-            domain=cfg.domain,
-            cfl=cfg.cfl,
-            command=tuple(opts["external_hj"]),
-            state_kind="hj",
-        )
+    cl_handle, hj_handle = (
+        verifier.SemigroupHandle(scheme, cfg.model, cfg.dx, cfg.domain, cfg.cfl, tuple(opts[f"external_{scheme}"]))
+        if opts.get(f"external_{scheme}")
+        else None
+        for scheme in ("cl", "hj")
+    )
     report = verifier.run_battery(
         cfg.model,
         dx=cfg.dx,

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cl_solver import CellField, FluxKernel, Grid, check_march, plan_steps
+from .cl_solver import CellField, FluxKernel, Grid, plan_march
 from .errors import DomainError, GridMismatchError
 from .flux_models import CanonicalDatum, DatumShape, canonical_eval
 from .junction import JunctionModel
@@ -81,11 +81,11 @@ def canonical_node_field(grid: Grid, j: JunctionModel, datum: CanonicalDatum) ->
 
 
 def validate_lip(u: NodeField, j: JunctionModel, tol: float = 1e-9) -> None:
-    """Check the discrete Lip class: slopes within [-tol, R + tol] per side."""
+    """Check the discrete Lip class: slopes within [-tol, R + tol] per side (NaN fails)."""
     p = u.slopes()
     nl = u.grid.n_left
     for side, flux in ((p[:nl], j.left), (p[nl:], j.right)):
-        if side.size and (side.min() < -tol or side.max() > flux.rmax + tol):
+        if side.size and not (side.min() >= -tol and side.max() <= flux.rmax + tol):
             raise DomainError(
                 f"slopes span [{side.min()}, {side.max()}], outside [0, {flux.rmax}] beyond tolerance"
             )
@@ -219,26 +219,23 @@ def hj_direct_solve(
     the slopes: interior nodes by the Godunov Hamiltonian of their
     one-sided slopes, the junction node by the capped exchange, and the
     outer nodes by the plain flux of their single available slope.
-    Slopes are validated against the Lip class (tolerance 1e-9) on entry
+    Slopes are validated against the Lip class (tolerance 1e-9, NaN
+    rejected) on entry, so a march of no steps rejects a bad datum too,
     and clamped once per step.
     """
-    targets = check_march(cfl, t_end, snapshot_times)
-    validate_lip(u0, j)
     grid = u0.grid
-    dt_max = cfl * grid.dx / j.lipschitz_bound
+    legs = plan_march(j, grid.dx, t_end, cfl, snapshot_times, t0=u0.time)
+    validate_lip(u0, j)
     kernel = FluxKernel(j, grid)
     u = u0.values.copy()
     slopes = np.empty(grid.n_cells)
-    t_now = u0.time
     out: list[NodeField] = []
-    for target in targets:
-        n, dt = plan_steps(t_now, target, dt_max)
-        for _ in range(n):
+    for leg in legs:
+        for _ in range(leg.n_steps):
             np.subtract(u[1:], u[:-1], out=slopes)
             slopes /= grid.dx
             h = kernel(slopes, plain_edges=True)
-            h *= dt
+            h *= leg.dt
             u -= h
-        t_now = target
-        out.append(NodeField(grid=grid, values=u.copy(), time=target))
+        out.append(NodeField(grid=grid, values=u.copy(), time=leg.t_to))
     return out

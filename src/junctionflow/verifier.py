@@ -94,36 +94,25 @@ class VerificationReport:
 class SemigroupHandle:
     """A semi-group that can be evolved from a state to requested times.
 
-    ``cl_internal`` and ``hj_internal`` call the in-process solvers;
-    ``external_process`` shells out to ``command`` with arguments
-    (input CSV path, time, output CSV path) and reads the result back,
-    using the cell CSV schema for state_kind 'cl' and the node schema
-    for 'hj'.
+    ``scheme`` names the states it evolves: ``"cl"`` densities (cells)
+    or ``"hj"`` potentials (nodes).  With an empty ``command`` the handle
+    calls the in-process solver of its scheme; otherwise it shells out
+    to ``command`` with arguments (input CSV path, time, output CSV path)
+    and reads the result back in the cell or node CSV schema.
     """
 
-    kind: str
+    scheme: str
     model: JunctionModel
     dx: float = DESK_DX
     domain: tuple[float, float] = DESK_DOMAIN
     cfl: float = 0.8
     command: tuple[str, ...] = ()
-    state_kind: str = "cl"
 
     def __post_init__(self):
-        if self.kind not in ("cl_internal", "hj_internal", "external_process"):
-            raise ValueError(f"unknown handle kind {self.kind!r}")
+        if self.scheme not in ("cl", "hj"):
+            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (self.dx > 0.0):
             raise ValueError("resolution dx must be positive")
-        if self.kind == "external_process" and not self.command:
-            raise ValueError("external_process handle needs a command")
-
-    @property
-    def is_cl(self) -> bool:
-        return self.kind == "cl_internal" or (self.kind == "external_process" and self.state_kind == "cl")
-
-    @property
-    def is_hj(self) -> bool:
-        return self.kind == "hj_internal" or (self.kind == "external_process" and self.state_kind == "hj")
 
     @property
     def grid(self) -> cl.Grid:
@@ -132,38 +121,34 @@ class SemigroupHandle:
         return cl.Grid.from_domain(x_min, x_max, n_cells)
 
     def count_steps(self, t_grid: Sequence[float]) -> int:
-        dt_max = self.cfl * self.grid.dx / self.model.lipschitz_bound
-        total, t_now = 0, 0.0
-        for t in t_grid:
-            n, _ = cl.plan_steps(t_now, t, dt_max)
-            total += n
-            t_now = t
-        return total
+        legs = cl.plan_march(self.model, self.grid.dx, max(t_grid), self.cfl, t_grid)
+        return sum(leg.n_steps for leg in legs)
 
     def evolve_cl(self, rho0: cl.CellField, snapshot_times: Sequence[float]) -> list[cl.CellField]:
-        if not self.is_cl:
-            raise StepError(f"handle kind {self.kind}/{self.state_kind} does not evolve densities")
-        if self.kind == "cl_internal":
-            return cl.solve(rho0, self.model, max(snapshot_times), cfl=self.cfl, snapshot_times=snapshot_times)
-        return self._evolve_external(rho0, snapshot_times, is_cl=True)
+        if self.scheme != "cl":
+            raise StepError(f"{self.scheme} handle does not evolve densities")
+        if self.command:
+            return self._evolve_external(rho0, snapshot_times)
+        return cl.solve(rho0, self.model, max(snapshot_times), cfl=self.cfl, snapshot_times=snapshot_times)
 
     def evolve_hj(self, u0: hj.NodeField, snapshot_times: Sequence[float]) -> list[hj.NodeField]:
-        if not self.is_hj:
-            raise StepError(f"handle kind {self.kind}/{self.state_kind} does not evolve potentials")
-        if self.kind == "hj_internal":
-            return hj.hj_direct_solve(u0, self.model, max(snapshot_times), cfl=self.cfl, snapshot_times=snapshot_times)
-        return self._evolve_external(u0, snapshot_times, is_cl=False)
+        if self.scheme != "hj":
+            raise StepError(f"{self.scheme} handle does not evolve potentials")
+        if self.command:
+            return self._evolve_external(u0, snapshot_times)
+        return hj.hj_direct_solve(u0, self.model, max(snapshot_times), cfl=self.cfl, snapshot_times=snapshot_times)
 
-    def _evolve_external(self, state0, snapshot_times, is_cl: bool):
+    def _evolve_external(self, state0, snapshot_times):
         from . import formats
 
+        if self.scheme == "cl":
+            write, read = formats.write_cell_csv, formats.read_cell_csv
+        else:
+            write, read = formats.write_node_csv, formats.read_node_csv
         out = []
         with tempfile.TemporaryDirectory(prefix="junctionflow-ext-") as td:
             src = Path(td) / "state_in.csv"
-            if is_cl:
-                formats.write_cell_csv(src, state0)
-            else:
-                formats.write_node_csv(src, state0)
+            write(src, state0)
             for k, t in enumerate(snapshot_times):
                 dst = Path(td) / f"state_out_{k}.csv"
                 argv = [*self.command, str(src), repr(float(t)), str(dst)]
@@ -172,7 +157,6 @@ class SemigroupHandle:
                     raise StepError(
                         f"external semi-group {argv[0]} exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
                     )
-                read = formats.read_cell_csv if is_cl else formats.read_node_csv
                 try:
                     state = read(dst, grid=state0.grid)
                 except (OSError, ValueError) as exc:
@@ -376,7 +360,7 @@ def check_locality(
         (h.model.right, xs > cone),
     ):
         line_model = JunctionModel(left=flux, right=flux, limiter=flux.capacity)
-        line_handle = SemigroupHandle(kind="cl_internal", model=line_model, dx=h.dx, domain=h.domain, cfl=h.cfl)
+        line_handle = SemigroupHandle("cl", model=line_model, dx=h.dx, domain=h.domain, cfl=h.cfl)
         s_line = line_handle.evolve_cl(f0, [t_end])[-1]
         worst = max(worst, float(np.max(np.abs(s_junction.values[side_mask] - s_line.values[side_mask]))))
     return CheckRecord(
@@ -413,7 +397,7 @@ def check_scale_invariance_cl(
     d_xi = xi[1] - xi[0]
     worst = 0.0
     for eps in eps_list:
-        fine = SemigroupHandle(kind="cl_internal", model=h.model, dx=h.dx / eps, domain=h.domain, cfl=h.cfl)
+        fine = SemigroupHandle("cl", model=h.model, dx=h.dx / eps, domain=h.domain, cfl=h.cfl)
         scaled = fine.evolve_cl(cl.riemann_field(fine.grid, *riemann), [t_base / eps])[-1]
         gap = np.abs(_sample_profile(base, xi * t_base) - _sample_profile(scaled, xi * (t_base / eps)))
         worst = max(worst, float(np.sum(gap) * d_xi))
@@ -764,8 +748,8 @@ def run_battery(
     the reference scheme, which an independent implementation will fail
     unless it reproduces it exactly).
     """
-    h_cl = cl_handle or SemigroupHandle(kind="cl_internal", model=model, dx=dx, domain=domain, cfl=cfl)
-    h_hj = hj_handle or SemigroupHandle(kind="hj_internal", model=model, dx=dx, domain=domain, cfl=cfl)
+    h_cl = cl_handle or SemigroupHandle("cl", model=model, dx=dx, domain=domain, cfl=cfl)
+    h_hj = hj_handle or SemigroupHandle("hj", model=model, dx=dx, domain=domain, cfl=cfl)
     report = VerificationReport(seed=seed)
 
     report.add(check_riemann_admissibility(model))

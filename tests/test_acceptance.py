@@ -136,8 +136,8 @@ def test_criterion_5_limiter_identification(default_flux, acceptance):
     worst_gap = 0.0
     for limiter in (0.0, 0.09375, 0.1875, 0.25):
         model = JunctionModel(left=default_flux, right=default_flux, limiter=limiter)
-        h_cl = SemigroupHandle(kind="cl_internal", model=model, dx=dx)
-        h_hj = SemigroupHandle(kind="hj_internal", model=model, dx=dx, state_kind="hj")
+        h_cl = SemigroupHandle("cl", model=model, dx=dx)
+        h_hj = SemigroupHandle("hj", model=model, dx=dx)
         a_cl = identify_limiter_cl(h_cl)
         a_hj = identify_limiter_hj(h_hj)
         worst_err = max(worst_err, abs(a_cl - limiter), abs(a_hj - limiter))

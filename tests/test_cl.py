@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from junctionflow import (
     CanonicalDatum,
     CellField,
     DatumShape,
+    DomainError,
     Grid,
     GridMismatchError,
     JunctionModel,
@@ -173,6 +176,21 @@ def test_solve_validates_inputs(sym_junction):
         solve(state, sym_junction, 1.0, snapshot_times=[0.5, 0.25])
     with pytest.raises(StepError):
         solve(state, sym_junction, 1.0, snapshot_times=[2.0])
+    for t_end in (math.nan, math.inf):
+        with pytest.raises(StepError, match="t_end"):
+            solve(state, sym_junction, t_end)
+    with pytest.raises(StepError, match="snapshots"):
+        solve(state, sym_junction, 1.0, snapshot_times=[math.nan])
+
+
+@pytest.mark.parametrize("bad, message", [(math.nan, "density must be finite"), (7.0, "density 7.0 outside")])
+def test_zero_step_solve_validates_datum(sym_junction, bad, message):
+    g = Grid.from_domain(-1.0, 1.0, 40)
+    values = np.full(40, 0.5)
+    values[25] = bad
+    for snapshots in (None, [0.0, 0.0]):
+        with pytest.raises(DomainError, match=message):
+            solve(CellField(g, values), sym_junction, 0.0, snapshot_times=snapshots)
 
 
 def test_solve_deterministic(sym_junction):
@@ -249,8 +267,8 @@ def test_field_from_function(sym_junction):
 def test_semigroup_composition(sym_junction):
     """Evolving to t then to t+s equals evolving straight to t+s.
 
-    Both paths take the same dt sequence because snapshots shorten the
-    final step identically, so agreement is bitwise.
+    Both paths take the same dt sequence because each span up to a
+    snapshot is split into the same equal steps, so agreement is bitwise.
     """
     g = Grid.from_domain(-1.0, 1.0, 100)
     state = riemann_field(g, 0.6, 0.2)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from junctionflow import read_cell_csv, read_node_csv
+from junctionflow import SemigroupHandle, read_cell_csv, read_node_csv
 from junctionflow.cli import (
     ConfigError,
     main,
@@ -80,6 +81,10 @@ def test_parse_config_amax_keyword():
             "datum",
         ),
         ({"flux_left": {"kind": "quadratic", "rmax": 1.0}}, "flux_left"),
+        ({"cfl": math.nan}, "cfl"),
+        ({"t_end": math.nan}, "t_end"),
+        ({"t_end": math.inf}, "t_end"),
+        ({"snapshots": [math.nan]}, "snapshots"),
     ],
 )
 def test_parse_config_rejects_bad_fields(patch, fragment):
@@ -179,6 +184,54 @@ def test_solve_hj_node_drain(tmp_path):
     assert manifest["value_at_zero"][-1] == pytest.approx(-0.1875 * 0.25, abs=1e-12)
     u = read_node_csv(out / "hj_snapshot_000.csv")
     assert u.values.shape == (81,)
+
+
+# Leg by leg at the commit before the planner fold: a t = 0 snapshot and a repeated one.
+FROZEN_STEPS = [
+    {"t_from": 0.0, "t_to": 0.0, "n_steps": 0, "dt": 0.0},
+    {"t_from": 0.0, "t_to": 0.1, "n_steps": 3, "dt": 0.03333333333333333},
+    {"t_from": 0.1, "t_to": 0.1, "n_steps": 0, "dt": 0.0},
+    {"t_from": 0.1, "t_to": 0.25, "n_steps": 4, "dt": 0.0375},
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, scheme, datum",
+    [
+        ("solve-cl", "cl", {"name": "riemann", "left": 0.5, "right": 0.5}),
+        ("solve-hj", "hj", {"name": "phi_hat", "level": 0.1875}),
+    ],
+)
+def test_manifest_steps_frozen(tmp_path, subcommand, scheme, datum):
+    path = write_config(tmp_path, datum=datum, snapshots=[0.0, 0.1, 0.1, 0.25])
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["steps"] == FROZEN_STEPS
+    assert manifest["snapshots"] == [0.0, 0.1, 0.1, 0.25]
+    cfg = parse_config_dict(json.loads(path.read_text()))
+    handle = SemigroupHandle(scheme, cfg.model, cfg.dx, cfg.domain, cfg.cfl)
+    assert handle.count_steps(cfg.snapshots) == sum(leg["n_steps"] for leg in FROZEN_STEPS) == 7
+
+
+@pytest.mark.parametrize(
+    "subcommand, patch",
+    [
+        ("solve-cl", {"t_end": 0, "datum": {"name": "riemann", "left": math.nan, "right": 0.5}}),
+        ("solve-cl", {"t_end": 0, "datum": {"name": "riemann", "left": 0.5, "right": 7.0}}),
+        ("solve-hj", {"t_end": 0, "datum": {"piecewise_linear": {"points": [[-2.0, 0.0], [0.0, math.nan], [2.0, 1.0]]}}}),
+        ("solve-cl", {"t_end": math.nan}),
+        ("solve-cl", {"t_end": math.inf}),
+        ("solve-cl", {"snapshots": [math.nan]}),
+    ],
+)
+def test_solve_rejects_bad_datum_or_times(tmp_path, capsys, subcommand, patch):
+    """A bad datum fails even a run of no steps; non-finite times fail parsing."""
+    path = write_config(tmp_path, **patch)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_solve_cl_rejects_hj_datum(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +213,21 @@ def test_validate_lip(sym_junction):
     decreasing = node_field_from_function(g, lambda x: -0.5 * x)
     with pytest.raises(DomainError):
         validate_lip(decreasing, sym_junction)
+    ok.values[10] = math.nan
+    with pytest.raises(DomainError, match="nan"):
+        validate_lip(ok, sym_junction)
+
+
+def test_zero_step_hj_direct_solve_validates_datum(sym_junction):
+    g = Grid.from_domain(-1.0, 1.0, 20)
+    u0 = node_field_from_function(g, lambda x: 0.5 * x)
+    u0.values[7] = math.nan
+    with pytest.raises(DomainError, match="nan"):
+        hj_direct_solve(u0, sym_junction, 0.0)
+    u0.values[7] = 0.5 * g.node_coords()[7]
+    for t_end in (math.nan, math.inf):
+        with pytest.raises(StepError, match="t_end"):
+            hj_direct_solve(u0, sym_junction, t_end)
 
 
 # -- direct node scheme --------------------------------------------------------

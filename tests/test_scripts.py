@@ -1,0 +1,32 @@
+"""The demo scripts run end to end on tiny arguments."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("convergence_study.py", ["--levels", "2", "--coarsest", "50"]),
+        ("germ_scan_demo.py", ["--grid-n", "5", "--dx", "0.05", "--t-end", "0.25"]),
+        ("recover_limiter.py", ["--dx", "0.05"]),
+    ],
+)
+def test_script_runs(script, args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -11,6 +11,7 @@ import pytest
 from junctionflow import (
     Grid,
     JunctionModel,
+    NodeField,
     QuadraticFlux,
     SemigroupHandle,
     StepError,
@@ -43,12 +44,12 @@ COARSE_DX = 1.0 / 64.0
 
 @pytest.fixture(scope="module")
 def cl_handle(sym_junction):
-    return SemigroupHandle(kind="cl_internal", model=sym_junction, dx=COARSE_DX)
+    return SemigroupHandle("cl", model=sym_junction, dx=COARSE_DX)
 
 
 @pytest.fixture(scope="module")
 def hj_handle(sym_junction):
-    return SemigroupHandle(kind="hj_internal", model=sym_junction, dx=COARSE_DX, state_kind="hj")
+    return SemigroupHandle("hj", model=sym_junction, dx=COARSE_DX)
 
 
 # -- individual checks at coarse resolution ------------------------------------
@@ -102,8 +103,8 @@ def test_record_fields_are_informative(cl_handle):
 @pytest.mark.parametrize("limiter", [0.0, 0.09375, 0.1875, 0.25])
 def test_identify_limiter_both_methods_coarse(default_flux, limiter):
     model = JunctionModel(left=default_flux, right=default_flux, limiter=limiter)
-    h_cl = SemigroupHandle(kind="cl_internal", model=model, dx=COARSE_DX)
-    h_hj = SemigroupHandle(kind="hj_internal", model=model, dx=COARSE_DX, state_kind="hj")
+    h_cl = SemigroupHandle("cl", model=model, dx=COARSE_DX)
+    h_hj = SemigroupHandle("hj", model=model, dx=COARSE_DX)
     a_cl = identify_limiter_cl(h_cl)
     a_hj = identify_limiter_hj(h_hj)
     assert abs(a_cl - limiter) <= 0.02
@@ -113,7 +114,7 @@ def test_identify_limiter_both_methods_coarse(default_flux, limiter):
 
 def test_identify_limiter_zero_is_sharp(default_flux):
     model = JunctionModel(left=default_flux, right=default_flux, limiter=0.0)
-    h_hj = SemigroupHandle(kind="hj_internal", model=model, dx=COARSE_DX, state_kind="hj")
+    h_hj = SemigroupHandle("hj", model=model, dx=COARSE_DX)
     a_hj = identify_limiter_hj(h_hj)
     assert abs(a_hj) <= 1e-10
     assert not np.signbit(a_hj)
@@ -184,13 +185,12 @@ def test_external_handle_matches_internal_bitwise(tmp_path, sym_junction):
     script = tmp_path / "ext.py"
     script.write_text(REFERENCE_EXTERNAL)
     grid = Grid.from_domain(-2.0, 2.0, 128)
-    internal = SemigroupHandle(kind="cl_internal", model=sym_junction, dx=grid.dx)
+    internal = SemigroupHandle("cl", model=sym_junction, dx=grid.dx)
     external = SemigroupHandle(
-        kind="external_process",
+        "cl",
         model=sym_junction,
         dx=grid.dx,
         command=(sys.executable, str(script)),
-        state_kind="cl",
     )
     state = riemann_field(grid, 0.6, 0.3)
     ours = internal.evolve_cl(state, [0.25])[-1]
@@ -199,15 +199,32 @@ def test_external_handle_matches_internal_bitwise(tmp_path, sym_junction):
     assert theirs.time == 0.25
 
 
+@pytest.mark.parametrize("command", [(), (sys.executable, "-c", "pass")])
+def test_handle_evolves_only_its_scheme(sym_junction, command):
+    grid = Grid.from_domain(-2.0, 2.0, 64)
+    rho0 = riemann_field(grid, 0.5, 0.5)
+    u0 = NodeField(grid, 0.5 * grid.node_coords())
+    cl = SemigroupHandle("cl", sym_junction, grid.dx, command=command)
+    hj = SemigroupHandle("hj", sym_junction, grid.dx, command=command)
+    with pytest.raises(StepError, match="cl handle does not evolve potentials"):
+        cl.evolve_hj(u0, [0.1])
+    with pytest.raises(StepError, match="hj handle does not evolve densities"):
+        hj.evolve_cl(rho0, [0.1])
+
+
+def test_handle_rejects_unknown_scheme(sym_junction):
+    with pytest.raises(ValueError, match="unknown scheme 'cl_internal'"):
+        SemigroupHandle("cl_internal", sym_junction)
+
+
 def test_external_handle_surfaces_failures(tmp_path, sym_junction):
     script = tmp_path / "boom.py"
     script.write_text("import sys; sys.stderr.write('no such scheme'); sys.exit(7)\n")
     external = SemigroupHandle(
-        kind="external_process",
+        "cl",
         model=sym_junction,
         dx=COARSE_DX,
         command=(sys.executable, str(script)),
-        state_kind="cl",
     )
     grid = external.grid
     state = riemann_field(grid, 0.5, 0.5)
@@ -220,11 +237,10 @@ def test_unfaithful_external_fails_checks(tmp_path, sym_junction):
     script = tmp_path / "identity.py"
     script.write_text("import sys, shutil; shutil.copyfile(sys.argv[1], sys.argv[3])\n")
     external = SemigroupHandle(
-        kind="external_process",
+        "cl",
         model=sym_junction,
         dx=COARSE_DX,
         command=(sys.executable, str(script)),
-        state_kind="cl",
     )
     a_cl = identify_limiter_cl(external)
     # Frozen step datum keeps its full capacity flux, nowhere near the cap.
