@@ -30,7 +30,7 @@ def l1_error(j: JunctionModel, rl: float, rr: float, n: int, t: float) -> float:
     grid = Grid.from_domain(-1.0, 1.0, n)
     out = solve(riemann_field(grid, rl, rr), j, t)[-1]
     xs = grid.cell_centers()
-    exact = np.array([riemann_profile(j, rl, rr, float(x) / t) for x in xs])
+    exact = riemann_profile(j, rl, rr, xs / t)
     return float(np.sum(np.abs(out.values - exact)) * grid.dx)
 
 

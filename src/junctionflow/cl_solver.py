@@ -216,15 +216,22 @@ def plan_steps(t_from: float, t_to: float, dt_max: float) -> tuple[int, float]:
     return n, span / n
 
 
-def check_march(cfl: float, t_end: float, snapshot_times: Sequence[float] | None) -> list[float]:
-    """Validate a march request; return its snapshot targets (default [t_end])."""
+def check_march(
+    cfl: float, t_end: float, snapshot_times: Sequence[float] | None, t0: float = 0.0
+) -> list[float]:
+    """Validate a march from the datum's time t0; return its snapshot targets (default [t_end]).
+
+    A march runs forwards only: t_end and every target lie in [t0, t_end].
+    """
     if not (0.0 < cfl <= 1.0):
         raise StepError(f"cfl must lie in (0, 1], got {cfl}")
     if not (0.0 <= t_end < math.inf):
         raise StepError(f"t_end must be finite and nonnegative, got {t_end}")
+    if not (t0 <= t_end):
+        raise StepError(f"t_end={t_end} precedes the datum's time {t0}")
     targets = [float(t_end)] if snapshot_times is None else [float(t) for t in snapshot_times]
-    if not all(0.0 <= t <= t_end + 1e-12 for t in targets):
-        raise StepError(f"snapshots {targets} outside [0, t_end={t_end}]")
+    if not all(t0 <= t <= t_end + 1e-12 for t in targets):
+        raise StepError(f"snapshots {targets} outside [{t0:.17g}, t_end={t_end}]")
     if any(b < a for a, b in zip(targets, targets[1:])):
         raise StepError(f"snapshots {targets} must be nondecreasing")
     return targets
@@ -254,7 +261,7 @@ def plan_march(
     """
     dt_max = cfl * dx / j.lipschitz_bound
     legs, t_now = [], t0
-    for target in check_march(cfl, t_end, snapshot_times):
+    for target in check_march(cfl, t_end, snapshot_times, t0):
         legs.append(Leg(t_now, target, *plan_steps(t_now, target, dt_max)))
         t_now = target
     return legs

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -342,7 +343,7 @@ def _cmd_riemann(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
     }
     grid = cfg.build_grid()
     xi = grid.node_coords()
-    profile = np.array([riemann_profile(model, pair[0], pair[1], x) for x in xi])
+    profile = riemann_profile(model, pair[0], pair[1], xi)
 
     (out_dir / "riemann.json").write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
     _write_xy_csv(out_dir / "riemann_profile.csv", ("xi", "rho"), xi, profile)
@@ -429,16 +430,16 @@ def _cmd_exact_hj(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
     grid = cfg.build_grid()
     xs = grid.node_coords()
     if which == "phi0_hat":
-        values = np.array([hj.exact_roof0_capped(model, level, t, x) for x in xs])
+        values = hj.exact_roof0_capped(model, level, t, xs)
     elif which == "phiA_hat":
         if level > model.limiter + 1e-12:
             raise LevelError(
                 f"datum level {level} exceeds the configured junction cap {model.limiter};"
                 " the uniform-drain formula only applies below the cap"
             )
-        values = np.array([hj.exact_roof_drain(model, level, t, x) for x in xs])
+        values = hj.exact_roof_drain(model, level, t, xs)
     else:  # phiA_check
-        values = np.array([hj.exact_valley_capped(model, level, t, x) for x in xs])
+        values = hj.exact_valley_capped(model, level, t, xs)
 
     name = "exact_hj.csv"
     _write_xy_csv(out_dir / name, ("x", "u"), xs, values)
@@ -481,8 +482,13 @@ def _cmd_identify(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
 
 
 def _cmd_verify(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
+    timeout = verifier.EXTERNAL_TIMEOUT_S if opts.get("external_timeout") is None else opts["external_timeout"]
+    if not (0.0 < timeout < math.inf):
+        raise ConfigError(f"external-timeout: must be positive seconds, got {timeout}")
     cl_handle, hj_handle = (
-        verifier.SemigroupHandle(scheme, cfg.model, cfg.dx, cfg.domain, cfg.cfl, tuple(opts[f"external_{scheme}"]))
+        verifier.SemigroupHandle(
+            scheme, cfg.model, cfg.dx, cfg.domain, cfg.cfl, tuple(opts[f"external_{scheme}"]), timeout
+        )
         if opts.get(f"external_{scheme}")
         else None
         for scheme in ("cl", "hj")
@@ -593,6 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="CMD",
         help="external potential semi-group command (same protocol, node CSV)",
+    )
+    p.add_argument(
+        "--external-timeout", type=float, default=None, metavar="SECONDS",
+        help="seconds one external call may run before it is a numerical failure"
+        f" (default {verifier.EXTERNAL_TIMEOUT_S:g})",
     )
     p.add_argument("--l1-trials", type=int, default=None, help="random pairs for the contraction check (default 100)")
     p.add_argument("--linf-trials", type=int, default=None, help="random pairs for the sup-norm check (default 20)")

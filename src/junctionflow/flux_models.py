@@ -27,11 +27,14 @@ Densities are validated with an absolute tolerance of 1e-9 at the
 domain boundaries and clamped on ingestion, so solver round-off never
 trips spurious domain errors.  ``clamp`` tests the range with one
 min/max pair and scans for the offending value only when that fails.
-The pointwise methods validate every call; ``envelopes`` is their
-unvalidated array form for the schemes' inner loop, which clamps each
-side once per step (``cl_solver.FluxKernel``) and then needs demand and
-supply of the same cells, bit for bit as ``demand``/``supply`` give
-them.
+The pointwise methods, ``clamp_level``, ``roots``, the truncated
+conjugate and ``canonical_eval`` take floats or arrays (float in, float
+out; array in, array out, each entry bit for bit the scalar call) and
+validate every call, reporting the first offending entry of an array;
+``envelopes`` is the unvalidated form of demand and supply for the
+schemes' inner loop, which clamps each side once per step
+(``cl_solver.FluxKernel``) and then needs demand and supply of the same
+cells, bit for bit as ``demand``/``supply`` give them.
 """
 
 from __future__ import annotations
@@ -64,6 +67,16 @@ def _as_input(p) -> tuple[np.ndarray, bool]:
 
 def _as_output(arr: np.ndarray, scalar: bool) -> ArrayLike:
     return float(arr) if scalar else arr
+
+
+def float_or_array(out) -> ArrayLike:
+    """A 0-d result as a float, anything else as an array: float in, float out."""
+    return float(out) if np.ndim(out) == 0 else np.asarray(out)
+
+
+def first_entry(values: np.ndarray, mask: np.ndarray) -> float:
+    """The first entry of ``values`` where ``mask`` (same shape) holds."""
+    return float(values[mask].flat[0])
 
 
 class ConcaveFlux:
@@ -120,12 +133,15 @@ class ConcaveFlux:
         """
         raise NotImplementedError
 
-    def roots(self, a: float) -> tuple[float, float]:
+    def roots(self, a: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
         """Smallest and largest densities with H(p) = a, a in [0, capacity]."""
         raise NotImplementedError
 
-    def _conjugate_candidates(self, a: float, v: float) -> np.ndarray:
-        """Finite candidate set containing the maximizer of -v*y + min(H(y), a)."""
+    def _conjugate_candidates(self, a: ArrayLike, v: np.ndarray) -> np.ndarray:
+        """Candidates stacked on axis 0, containing the maximizer of -v*y + min(H(y), a).
+
+        Shape (k, *broadcast(a, v)): one column of k candidates per (a, v).
+        """
         raise NotImplementedError
 
     def to_config(self) -> dict:
@@ -150,15 +166,17 @@ class ConcaveFlux:
             raise DomainError(f"density {float(bad)} outside [0, {self.rmax}]")
         return _as_output(np.clip(arr, 0.0, self.rmax, out=out), scalar)
 
-    def clamp_level(self, a: float) -> float:
-        """Validate a flow level against [0, capacity] and clamp."""
-        a = float(a)
+    def clamp_level(self, a: ArrayLike) -> ArrayLike:
+        """Validate flow levels against [0, capacity] and clamp (NaN passes through)."""
+        arr, scalar = _as_input(a)
         cap = self.capacity
-        if a < -BOUNDARY_TOL:
-            raise DomainError(f"flow level {a} is negative")
-        if a > cap * (1.0 + 1e-12) + BOUNDARY_TOL:
+        bad = (arr < -BOUNDARY_TOL) | (arr > cap * (1.0 + 1e-12) + BOUNDARY_TOL)
+        if bad.any():
+            a = first_entry(arr, bad)
+            if a < 0.0:
+                raise DomainError(f"flow level {a} is negative")
             raise LevelError(f"flow level {a} exceeds capacity {cap}")
-        return min(max(a, 0.0), cap)
+        return _as_output(np.clip(arr, 0.0, cap), scalar)
 
     def demand(self, p: ArrayLike) -> ArrayLike:
         """Nondecreasing envelope of H: H(p) up to p_crit, capacity beyond."""
@@ -194,21 +212,22 @@ class ConcaveFlux:
         arr = np.asarray(p, dtype=float)
         return self._flow_into(arr, np.empty_like(arr), np.empty_like(arr))
 
-    def truncated_conjugate_argmax(self, a: float, v: float) -> tuple[float, float]:
+    def truncated_conjugate_argmax(self, a: ArrayLike, v: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
         """(value, maximizer) of y -> -v*y + min(H(y), a) over [0, rmax].
 
         The objective is concave, so its maximum sits at a boundary point,
         a kink (plateau edge or breakpoint), or an interior stationary
-        point; the candidate set enumerates exactly those.
+        point; the candidate set enumerates exactly those, and the first
+        best candidate is taken.  ``a`` and ``v`` broadcast.
         """
         a = self.clamp_level(a)
-        v = float(v)
+        v = np.asarray(v, dtype=float)
         ys = self._conjugate_candidates(a, v)
         vals = -v * ys + np.minimum(self.eval(ys), a)
-        i = int(np.argmax(vals))
-        return float(vals[i]), float(ys[i])
+        i = np.argmax(vals, axis=0)[None]
+        return float_or_array(np.take_along_axis(vals, i, 0)[0]), float_or_array(np.take_along_axis(ys, i, 0)[0])
 
-    def truncated_conjugate(self, a: float, v: float) -> float:
+    def truncated_conjugate(self, a: ArrayLike, v: ArrayLike) -> ArrayLike:
         """sup over y in [0, rmax] of -v*y + min(H(y), a)."""
         return self.truncated_conjugate_argmax(a, v)[0]
 
@@ -261,18 +280,18 @@ class QuadraticFlux(ConcaveFlux):
         p = 0.5 * (self.rmax - arr / self._coef)
         return _as_output(np.clip(p, 0.0, self.rmax), scalar)
 
-    def roots(self, a: float) -> tuple[float, float]:
-        a = self.clamp_level(a)
+    def roots(self, a: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+        arr, scalar = _as_input(self.clamp_level(a))
         # stable form: p = rmax/2 * (1 -/+ sqrt(1 - a/hmax))
-        s = math.sqrt(max(1.0 - a / self.hmax, 0.0))
+        s = np.sqrt(np.maximum(1.0 - arr / self.hmax, 0.0))
         lo = 0.5 * self.rmax * (1.0 - s)
         hi = 0.5 * self.rmax * (1.0 + s)
-        return lo, hi
+        return _as_output(lo, scalar), _as_output(hi, scalar)
 
-    def _conjugate_candidates(self, a: float, v: float) -> np.ndarray:
+    def _conjugate_candidates(self, a: ArrayLike, v: np.ndarray) -> np.ndarray:
         lo, hi = self.roots(a)
-        stat = float(np.clip(0.5 * (self.rmax - v / self._coef), 0.0, self.rmax))
-        return np.array([0.0, self.rmax, lo, hi, stat])
+        stat = np.clip(0.5 * (self.rmax - v / self._coef), 0.0, self.rmax)
+        return np.stack(np.broadcast_arrays(0.0, self.rmax, lo, hi, stat))
 
     def to_config(self) -> dict:
         return {"kind": "quadratic", "rmax": self.rmax, "hmax": self.hmax}
@@ -347,16 +366,17 @@ class PiecewiseLinearFlux(ConcaveFlux):
         idx = np.searchsorted(-self._slopes, -arr, side="left")
         return _as_output(self._px[idx], scalar)
 
-    def roots(self, a: float) -> tuple[float, float]:
-        a = self.clamp_level(a)
+    def roots(self, a: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+        arr, scalar = _as_input(self.clamp_level(a))
         iv = self._ivert
-        lo = float(np.interp(a, self._hy[: iv + 1], self._px[: iv + 1]))
-        hi = float(np.interp(a, self._hy[iv:][::-1], self._px[iv:][::-1]))
-        return lo, hi
+        lo = np.interp(arr, self._hy[: iv + 1], self._px[: iv + 1])
+        hi = np.interp(arr, self._hy[iv:][::-1], self._px[iv:][::-1])
+        return _as_output(lo, scalar), _as_output(hi, scalar)
 
-    def _conjugate_candidates(self, a: float, v: float) -> np.ndarray:
+    def _conjugate_candidates(self, a: ArrayLike, v: np.ndarray) -> np.ndarray:
         lo, hi = self.roots(a)
-        return np.concatenate([self._px, [lo, hi]])
+        # v only sets the shape: the breakpoints do not depend on it
+        return np.stack(np.broadcast_arrays(*self._px, lo, hi, v)[:-1])
 
     def to_config(self) -> dict:
         return {"kind": "piecewise_linear", "points": [list(p) for p in self.points]}
@@ -399,29 +419,35 @@ class DatumShape(str, enum.Enum):
 
 @dataclass(frozen=True)
 class CanonicalDatum:
+    """A canonical shape at one flow level, or at an array of levels (one datum per entry)."""
+
     shape: DatumShape
-    level: float
+    level: ArrayLike
 
     def __post_init__(self):
         object.__setattr__(self, "shape", DatumShape(self.shape))
-        object.__setattr__(self, "level", float(self.level))
-        if not (self.level >= 0.0 and math.isfinite(self.level)):
-            raise DomainError(f"datum level must be a finite nonnegative flow, got {self.level}")
+        level = np.asarray(self.level, dtype=float)
+        bad = ~((level >= 0.0) & np.isfinite(level))
+        if bad.any():
+            raise DomainError(f"datum level must be a finite nonnegative flow, got {first_entry(level, bad)}")
+        object.__setattr__(self, "level", float_or_array(level))
 
 
 def canonical_eval(datum: CanonicalDatum, junction: "JunctionModel", x: ArrayLike) -> ArrayLike:
     """Evaluate a canonical datum at position(s) x for the given junction.
 
     The level must not exceed the junction's joint capacity, otherwise one
-    side has no density carrying that flow.
+    side has no density carrying that flow.  An array of levels
+    broadcasts against x.
     """
-    a = float(datum.level)
-    if a > junction.a_max * (1.0 + 1e-12) + BOUNDARY_TOL:
-        raise LevelError(f"datum level {a} exceeds joint capacity {junction.a_max}")
-    left_lo, left_hi = junction.left.roots(a)
-    right_lo, right_hi = junction.right.roots(a)
+    a = np.asarray(datum.level)
+    high = a > junction.a_max * (1.0 + 1e-12) + BOUNDARY_TOL
+    if high.any():
+        raise LevelError(f"datum level {first_entry(a, high)} exceeds joint capacity {junction.a_max}")
+    left_lo, left_hi = junction.left.roots(datum.level)
+    right_lo, right_hi = junction.right.roots(datum.level)
     shape = datum.shape
-    arr, scalar = _as_input(x)
+    arr = np.asarray(x, dtype=float)
     if shape is DatumShape.PHI_HAT:
         out = np.where(arr <= 0.0, left_hi * arr, right_lo * arr)
     elif shape is DatumShape.PHI_CHECK:
@@ -430,4 +456,4 @@ def canonical_eval(datum: CanonicalDatum, junction: "JunctionModel", x: ArrayLik
         out = np.where(arr < 0.0, left_hi, right_lo)
     else:
         out = np.where(arr < 0.0, left_lo, right_hi)
-    return _as_output(out, scalar)
+    return float_or_array(out)

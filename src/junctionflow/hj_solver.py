@@ -28,11 +28,16 @@ the two discrete routes agree up to accumulated round-off.
 cumulative sums, so it remains the independent route.  The mutual gap
 of the two routes and their distance to the closed forms are what the
 verifier and the acceptance suite measure.
+
+The four closed forms (``exact_roof0_uncapped``, ``exact_roof0_capped``,
+``exact_roof_drain``, ``exact_valley_capped``) take floats or arrays for
+level, t and x, broadcast against each other: float in gives float out,
+array in gives array out, each entry bit for bit the scalar call.  So a
+whole grid of nodes, or a batch of (t, x, level) samples, is one call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,7 +45,7 @@ import numpy as np
 
 from .cl_solver import CellField, FluxKernel, Grid, plan_march
 from .errors import DomainError, GridMismatchError
-from .flux_models import CanonicalDatum, DatumShape, canonical_eval
+from .flux_models import ArrayLike, CanonicalDatum, DatumShape, canonical_eval, first_entry, float_or_array
 from .junction import JunctionModel
 
 
@@ -100,14 +105,15 @@ def sup_distance(u1: NodeField, u2: NodeField) -> float:
 # -- exact wedge solutions ------------------------------------------------
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"time must be positive, got {t}")
+def _check_time(t: ArrayLike) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    bad = ~((t > 0.0) & np.isfinite(t))
+    if bad.any():
+        raise DomainError(f"time must be positive, got {first_entry(t, bad)}")
     return t
 
 
-def exact_roof0_uncapped(j: JunctionModel, t: float, x: float) -> float:
+def exact_roof0_uncapped(j: JunctionModel, t: ArrayLike, x: ArrayLike) -> ArrayLike:
     """Solution at (t, x) from the level-0 roof datum with no junction cap.
 
     The datum is R_left * x left of 0 and 0 right of 0 (a full road
@@ -115,46 +121,42 @@ def exact_roof0_uncapped(j: JunctionModel, t: float, x: float) -> float:
     inside, the value is -t * (conjugate of the side flux truncated at
     the joint capacity) evaluated at x/t.
     """
-    t = _check_time(t)
-    x = float(x)
-    if x >= t * j.right.derivative(0.0):
-        return 0.0
-    if x <= t * j.left.derivative(j.left.rmax):
-        return j.left.rmax * x
-    side = j.left if x <= 0.0 else j.right
-    return -t * side.truncated_conjugate(j.a_max, x / t)
+    t, x = _check_time(t), np.asarray(x, dtype=float)
+    conj = np.where(x <= 0.0, j.left.truncated_conjugate(j.a_max, x / t), j.right.truncated_conjugate(j.a_max, x / t))
+    out = np.where(x <= t * j.left.derivative(j.left.rmax), j.left.rmax * x, -t * conj)
+    return float_or_array(np.where(x >= t * j.right.derivative(0.0), 0.0, out))
 
 
-def exact_roof0_capped(j: JunctionModel, cap: float, t: float, x: float) -> float:
+def exact_roof0_capped(j: JunctionModel, cap: ArrayLike, t: ArrayLike, x: ArrayLike) -> ArrayLike:
     """Solution at (t, x) from the level-0 roof datum under junction cap ``cap``.
 
     Around the junction the cap carves out a wedge draining at rate
     ``cap`` with the slopes of the level-``cap`` roof; outside that
     wedge the uncapped solution is unaffected.
     """
-    t = _check_time(t)
-    x = float(x)
+    t, x = _check_time(t), np.asarray(x, dtype=float)
     datum = CanonicalDatum(shape=DatumShape.PHI_HAT, level=cap)
     left_hi = j.left.roots(datum.level)[1]
     right_lo = j.right.roots(datum.level)[0]
     lo = t * j.left.derivative(left_hi)
     hi = t * j.right.derivative(right_lo)
-    if lo <= x <= hi:
-        return canonical_eval(datum, j, x) - t * datum.level
-    return exact_roof0_uncapped(j, t, x)
+    wedge = (lo <= x) & (x <= hi)
+    return float_or_array(
+        np.where(wedge, canonical_eval(datum, j, x) - t * datum.level, exact_roof0_uncapped(j, t, x))
+    )
 
 
-def exact_roof_drain(j: JunctionModel, level: float, t: float, x: float) -> float:
+def exact_roof_drain(j: JunctionModel, level: ArrayLike, t: ArrayLike, x: ArrayLike) -> ArrayLike:
     """Roof datum at its own level drains uniformly: phi_hat_level(x) - t*level.
 
     The roof's slopes carry exactly ``level`` on both sides and the
     junction passes it, so the whole profile translates downward.
     """
     datum = CanonicalDatum(shape=DatumShape.PHI_HAT, level=level)
-    return canonical_eval(datum, j, float(x)) - float(t) * datum.level
+    return float_or_array(canonical_eval(datum, j, x) - np.asarray(t, dtype=float) * datum.level)
 
 
-def exact_valley_capped(j: JunctionModel, level: float, t: float, x: float) -> float:
+def exact_valley_capped(j: JunctionModel, level: ArrayLike, t: ArrayLike, x: ArrayLike) -> ArrayLike:
     """Solution from the valley datum of ``level`` under the model's cap.
 
     For level <= cap the valley is stationary up to uniform drain at its
@@ -163,14 +165,13 @@ def exact_valley_capped(j: JunctionModel, level: float, t: float, x: float) -> f
     maximum of the two candidate drains (max of solutions is a solution
     for concave Hamiltonians).
     """
-    t = float(t)
+    t = np.asarray(t, dtype=float)
     valley = CanonicalDatum(shape=DatumShape.PHI_CHECK, level=level)
     roof = CanonicalDatum(shape=DatumShape.PHI_HAT, level=j.limiter)
-    x = float(x)
-    return max(
-        canonical_eval(valley, j, x) - t * valley.level,
-        canonical_eval(roof, j, x) - t * roof.level,
-    )
+    down = canonical_eval(valley, j, x) - t * valley.level
+    cut = canonical_eval(roof, j, x) - t * roof.level
+    # max(down, cut) as Python's max takes it: the first of equals
+    return float_or_array(np.where(cut > down, cut, down))
 
 
 # -- discrete evolutions ---------------------------------------------------

@@ -14,17 +14,25 @@ pair itself; admissible pairs are exactly the stationary junction
 states.  ``riemann_traces`` resolves arbitrary adjacent states to the
 admissible pair they relax to, and ``riemann_profile`` assembles the
 full self-similar solution from classical single-flux Riemann fans.
+
+The junction algebra works on arrays the way the flux methods do:
+``junction_flux``, ``riemann_traces``, ``germ_contains``,
+``kruzhkov_flux`` and ``germ_dissipative`` take floats or arrays that
+broadcast against each other, and return a float (or bool) for scalar
+input and an array otherwise, elementwise bit for bit the scalar call.
+A ``TracePair``'s fields are then arrays.  ``classical_riemann`` and
+``riemann_profile`` take an array of xi for one Riemann datum.  Every
+validation runs on the whole array and reports the first offending entry.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LevelError
-from .flux_models import ArrayLike, ConcaveFlux
+from .flux_models import ArrayLike, ConcaveFlux, float_or_array
 
 #: Slack for wave-speed sign assertions (they hold exactly up to round-off).
 _SPEED_TOL = 1e-9
@@ -62,34 +70,35 @@ class JunctionModel:
 
 @dataclass(frozen=True)
 class TracePair:
-    """Adjacent one-sided states (left limit, right limit) and their flow."""
+    """Adjacent one-sided states (left limit, right limit) and their flow.
 
-    q_minus: float
-    q_plus: float
-    flux_value: float
+    Floats for one Riemann problem, same-shape arrays for many.
+    """
+
+    q_minus: ArrayLike
+    q_plus: ArrayLike
+    flux_value: ArrayLike
 
 
 def junction_flux(j: JunctionModel, q_left: ArrayLike, q_right: ArrayLike) -> ArrayLike:
     """Flow through the junction for adjacent densities (q_left, q_right)."""
     d = j.left.demand(q_left)
     s = j.right.supply(q_right)
-    out = np.minimum(j.limiter, np.minimum(d, s))
-    return float(out) if np.ndim(out) == 0 else out
+    return float_or_array(np.minimum(j.limiter, np.minimum(d, s)))
 
 
-def _unpack(pair) -> tuple[float, float]:
-    if isinstance(pair, TracePair):
-        return pair.q_minus, pair.q_plus
-    qm, qp = pair
-    return float(qm), float(qp)
+def _unpack(pair) -> tuple[ArrayLike, ArrayLike]:
+    qm, qp = (pair.q_minus, pair.q_plus) if isinstance(pair, TracePair) else pair
+    return float_or_array(qm), float_or_array(qp)
 
 
-def germ_contains(j: JunctionModel, pair, tol: float | None = None) -> bool:
+def germ_contains(j: JunctionModel, pair, tol: float | None = None) -> bool | np.ndarray:
     """Whether (q_minus, q_plus) is an admissible (stationary) trace pair.
 
     True iff both side fluxes agree and equal the capped exchange
     junction_flux(j, q_minus, q_plus), all within ``tol`` (defaults to
-    the coarser of the two fluxes' equality tolerances).
+    the coarser of the two fluxes' equality tolerances).  A bool for
+    scalar states, a bool array for arrays of states.
     """
     if tol is None:
         tol = j.equality_tol
@@ -97,33 +106,37 @@ def germ_contains(j: JunctionModel, pair, tol: float | None = None) -> bool:
     fl = j.left.eval(qm)
     fr = j.right.eval(qp)
     fj = junction_flux(j, qm, qp)
-    return abs(fl - fr) <= tol and abs(fl - fj) <= tol
+    return (abs(fl - fr) <= tol) & (abs(fl - fj) <= tol)
 
 
-def kruzhkov_flux(flux: ConcaveFlux, a: float, b: float) -> float:
-    """Entropy flux sign(a - b) * (H(a) - H(b))."""
-    if a == b:
-        return 0.0
-    return math.copysign(1.0, a - b) * (flux.eval(a) - flux.eval(b))
+def kruzhkov_flux(flux: ConcaveFlux, a: ArrayLike, b: ArrayLike) -> ArrayLike:
+    """Entropy flux sign(a - b) * (H(a) - H(b)), exactly 0 where a == b."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return float_or_array(np.where(a == b, 0.0, np.copysign(1.0, a - b) * (flux.eval(a) - flux.eval(b))))
 
 
-def germ_dissipative(j: JunctionModel, p1, p2, tol: float | None = None) -> float:
+def germ_dissipative(j: JunctionModel, p1, p2, tol: float | None = None) -> ArrayLike:
     """Entropy dissipation margin between two admissible trace pairs.
 
     Returns Phi_left(q1-, q2-) - Phi_right(q1+, q2+); admissibility of
     the junction coupling requires this to be >= 0 for every pair of
-    germ members.  Raises if either pair fails ``germ_contains``.
+    germ members.  Raises if either pair fails ``germ_contains``.  Arrays
+    of pairs broadcast: p1 as a column and p2 as a row give the matrix of
+    all margins, each pair validated once.
     """
     for name, p in (("p1", p1), ("p2", p2)):
-        if not germ_contains(j, p, tol):
-            qm, qp = _unpack(p)
-            raise ValueError(f"{name}=({qm}, {qp}) is not an admissible trace pair")
+        qm, qp = np.broadcast_arrays(*_unpack(p))
+        inside = germ_contains(j, (qm, qp), tol)
+        if not np.all(inside):
+            k = int(np.argmin(inside))  # first non-member
+            raise ValueError(f"{name}=({qm.flat[k]}, {qp.flat[k]}) is not an admissible trace pair")
     q1m, q1p = _unpack(p1)
     q2m, q2p = _unpack(p2)
     return kruzhkov_flux(j.left, q1m, q2m) - kruzhkov_flux(j.right, q1p, q2p)
 
 
-def riemann_traces(j: JunctionModel, rho_left: float, rho_right: float) -> TracePair:
+def riemann_traces(j: JunctionModel, rho_left: ArrayLike, rho_right: ArrayLike) -> TracePair:
     """Admissible trace pair the junction Riemann problem relaxes to.
 
     With f the capped exchange of the data, the upstream trace keeps
@@ -133,69 +146,73 @@ def riemann_traces(j: JunctionModel, rho_left: float, rho_right: float) -> Trace
     right waves speed >= 0.  A congested rho_left that carries f already
     is the congested root of f; it is kept as is, because the root that
     ``roots`` recomputes can land an ulp away and read as a shock.
+    Arrays of data broadcast into arrays of traces.
     """
     rl = j.left.clamp(rho_left)
     rr = j.right.clamp(rho_right)
     f = junction_flux(j, rl, rr)
 
-    if abs(j.left.eval(rl) - f) <= j.left.equality_tol:
-        q_minus = rl
-    else:
-        q_minus = j.left.roots(f)[1]
-    if abs(j.right.eval(rr) - f) <= j.right.equality_tol:
-        q_plus = rr
-    else:
-        q_plus = j.right.roots(f)[0]
+    keep_left = abs(j.left.eval(rl) - f) <= j.left.equality_tol
+    keep_right = abs(j.right.eval(rr) - f) <= j.right.equality_tol
+    q_minus = float_or_array(np.where(keep_left, rl, j.left.roots(f)[1]))
+    q_plus = float_or_array(np.where(keep_right, rr, j.right.roots(f)[0]))
 
     _assert_wave_signs(j, rl, rr, q_minus, q_plus)
     return TracePair(q_minus=q_minus, q_plus=q_plus, flux_value=f)
 
 
 def _assert_wave_signs(j, rl, rr, q_minus, q_plus):
+    # Each wave is checked where it occurs (masks; empty ones pass).  A fan's
+    # speed is taken an ulp inside it, so that a kink at its trace end (a
+    # polygon vertex) counts with the slope on the fan's side.
+    rl, rr, q_minus, q_plus = np.broadcast_arrays(rl, rr, q_minus, q_plus)
     # left-side wave between rl and q_minus must not move right
-    if rl < q_minus:
-        speed = (j.left.eval(q_minus) - j.left.eval(rl)) / (q_minus - rl)
-        assert speed <= _SPEED_TOL, f"left shock speed {speed} > 0"
-    elif rl > q_minus:
-        assert j.left.derivative(q_minus) <= _SPEED_TOL, "left fan leaks right"
+    up, down = rl < q_minus, rl > q_minus
+    speed = (j.left.eval(q_minus[up]) - j.left.eval(rl[up])) / (q_minus[up] - rl[up])
+    assert np.all(speed <= _SPEED_TOL), f"left shock speed {speed.max()} > 0"
+    fan = j.left.derivative(np.nextafter(q_minus[down], rl[down]))
+    assert np.all(fan <= _SPEED_TOL), "left fan leaks right"
     # right-side wave between q_plus and rr must not move left
-    if q_plus < rr:
-        speed = (j.right.eval(rr) - j.right.eval(q_plus)) / (rr - q_plus)
-        assert speed >= -_SPEED_TOL, f"right shock speed {speed} < 0"
-    elif q_plus > rr:
-        assert j.right.derivative(q_plus) >= -_SPEED_TOL, "right fan leaks left"
+    up, down = q_plus < rr, q_plus > rr
+    speed = (j.right.eval(rr[up]) - j.right.eval(q_plus[up])) / (rr[up] - q_plus[up])
+    assert np.all(speed >= -_SPEED_TOL), f"right shock speed {speed.min()} < 0"
+    fan = j.right.derivative(np.nextafter(q_plus[down], rr[down]))
+    assert np.all(fan >= -_SPEED_TOL), "right fan leaks left"
 
 
-def classical_riemann(flux: ConcaveFlux, a: float, b: float, xi: float) -> float:
+def classical_riemann(flux: ConcaveFlux, a: float, b: float, xi: ArrayLike) -> ArrayLike:
     """Entropy solution of the single-flux Riemann problem (a | b) at xi = x/t.
 
     For a concave flux an ascending jump (a < b) is an admissible shock
     with the chord speed; a descending jump opens a rarefaction fan
     ρ = (H')⁻¹(ξ) clamped to [b, a].  At a shock location the left state
-    is returned (measure-zero convention).
+    is returned (measure-zero convention).  xi may be an array.
     """
     a = flux.clamp(a)
     b = flux.clamp(b)
+    xi = np.asarray(xi, dtype=float)
     if a == b:
-        return a
+        return float_or_array(np.full(xi.shape, a))
     if a < b:
         sigma = (flux.eval(b) - flux.eval(a)) / (b - a)
-        return a if xi <= sigma else b
+        return float_or_array(np.where(xi <= sigma, a, b))
     fan = flux.inv_derivative(xi)
-    return min(a, max(b, fan))
+    # min(a, max(b, fan)) as Python's min/max take it: the first of equals
+    above = np.where(fan > b, fan, b)
+    return float_or_array(np.where(above < a, above, a))
 
 
-def riemann_profile(j: JunctionModel, rho_left: float, rho_right: float, xi: float) -> float:
+def riemann_profile(j: JunctionModel, rho_left: float, rho_right: float, xi: ArrayLike) -> ArrayLike:
     """Self-similar junction Riemann solution evaluated at xi = x/t.
 
     Left of the junction the profile is the classical fan between
     rho_left and the upstream trace; right of it, between the downstream
     trace and rho_right.  At xi == 0 the upstream trace is returned (the
-    one-sided limits at the junction are the traces themselves).
+    one-sided limits at the junction are the traces themselves).  xi may
+    be an array: the traces are then resolved once for the whole profile.
     """
     traces = riemann_traces(j, rho_left, rho_right)
-    if xi < 0.0:
-        return classical_riemann(j.left, j.left.clamp(rho_left), traces.q_minus, xi)
-    if xi > 0.0:
-        return classical_riemann(j.right, traces.q_plus, j.right.clamp(rho_right), xi)
-    return traces.q_minus
+    xi = np.asarray(xi, dtype=float)
+    left = classical_riemann(j.left, j.left.clamp(rho_left), traces.q_minus, xi)
+    right = classical_riemann(j.right, traces.q_plus, j.right.clamp(rho_right), xi)
+    return float_or_array(np.where(xi < 0.0, left, np.where(xi > 0.0, right, traces.q_minus)))

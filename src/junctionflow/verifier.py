@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import subprocess
 import tempfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -33,6 +34,8 @@ from .junction import JunctionModel, TracePair, germ_contains, germ_dissipative,
 
 DESK_DX = 1.0 / 200.0
 DESK_DOMAIN = (-2.0, 2.0)
+#: Seconds one external-solver call may take before the audit gives up on it.
+EXTERNAL_TIMEOUT_S = 600.0
 
 
 @dataclass
@@ -42,6 +45,7 @@ class CheckRecord:
     measured: float
     tolerance: float
     scenario: str
+    wall_s: float = 0.0  # wall time of the check, set by run_battery
 
     def to_dict(self) -> dict:
         return {
@@ -50,6 +54,7 @@ class CheckRecord:
             "measured_margin": self.measured,
             "tolerance": self.tolerance,
             "scenario": self.scenario,
+            "wall_s": self.wall_s,
         }
 
     def summary(self) -> str:
@@ -98,7 +103,8 @@ class SemigroupHandle:
     or ``"hj"`` potentials (nodes).  With an empty ``command`` the handle
     calls the in-process solver of its scheme; otherwise it shells out
     to ``command`` with arguments (input CSV path, time, output CSV path)
-    and reads the result back in the cell or node CSV schema.
+    and reads the result back in the cell or node CSV schema.  A call
+    still running after ``timeout`` seconds is killed (``StepError``).
     """
 
     scheme: str
@@ -107,12 +113,15 @@ class SemigroupHandle:
     domain: tuple[float, float] = DESK_DOMAIN
     cfl: float = 0.8
     command: tuple[str, ...] = ()
+    timeout: float = EXTERNAL_TIMEOUT_S
 
     def __post_init__(self):
         if self.scheme not in ("cl", "hj"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (self.dx > 0.0):
             raise ValueError("resolution dx must be positive")
+        if not (0.0 < self.timeout < math.inf):
+            raise ValueError(f"external timeout must be positive, got {self.timeout}")
 
     @property
     def grid(self) -> cl.Grid:
@@ -152,7 +161,10 @@ class SemigroupHandle:
             for k, t in enumerate(snapshot_times):
                 dst = Path(td) / f"state_out_{k}.csv"
                 argv = [*self.command, str(src), repr(float(t)), str(dst)]
-                proc = subprocess.run(argv, capture_output=True, text=True)
+                try:
+                    proc = subprocess.run(argv, capture_output=True, text=True, timeout=self.timeout)
+                except subprocess.TimeoutExpired as exc:
+                    raise StepError(f"external semi-group {argv[0]} timed out after {self.timeout:g} s") from exc
                 if proc.returncode != 0:
                     raise StepError(
                         f"external semi-group {argv[0]} exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
@@ -413,14 +425,12 @@ def check_scale_invariance_cl(
 def check_riemann_admissibility(model: JunctionModel, grid_n: int = 41) -> CheckRecord:
     """Traces from every Riemann pair must be admissible fixed points."""
     tol = model.equality_tol
-    worst = 0.0
-    for ql in np.linspace(0.0, model.left.rmax, grid_n):
-        for qr in np.linspace(0.0, model.right.rmax, grid_n):
-            tr = riemann_traces(model, ql, qr)
-            fl = model.left.eval(tr.q_minus)
-            fr = model.right.eval(tr.q_plus)
-            fj = junction_flux(model, tr.q_minus, tr.q_plus)
-            worst = max(worst, abs(fl - fr), abs(fl - fj), abs(tr.flux_value - fj))
+    ql, qr = np.meshgrid(np.linspace(0.0, model.left.rmax, grid_n), np.linspace(0.0, model.right.rmax, grid_n))
+    tr = riemann_traces(model, ql, qr)
+    fl = model.left.eval(tr.q_minus)
+    fr = model.right.eval(tr.q_plus)
+    fj = junction_flux(model, tr.q_minus, tr.q_plus)
+    worst = max(0.0, *(float(np.max(np.abs(gap))) for gap in (fl - fr, fl - fj, tr.flux_value - fj)))
     return CheckRecord(
         name="riemann_traces_admissible",
         passed=worst <= tol,
@@ -432,22 +442,17 @@ def check_riemann_admissibility(model: JunctionModel, grid_n: int = 41) -> Check
 
 def check_germ_dissipativity(model: JunctionModel, grid_n: int = 41) -> CheckRecord:
     """Entropy dissipation margin >= 0 between all pairs of admissible states."""
-    members: list[TracePair] = []
-    for ql in np.linspace(0.0, model.left.rmax, grid_n):
-        for qr in np.linspace(0.0, model.right.rmax, grid_n):
-            pair = TracePair(float(ql), float(qr), model.left.eval(ql))
-            if germ_contains(model, pair):
-                members.append(pair)
-    worst = 0.0  # violation depth
-    for p1 in members:
-        for p2 in members:
-            worst = max(worst, -germ_dissipative(model, p1, p2))
+    ql, qr = np.meshgrid(np.linspace(0.0, model.left.rmax, grid_n), np.linspace(0.0, model.right.rmax, grid_n))
+    member = germ_contains(model, (ql, qr))
+    qm, qp = ql[member], qr[member]
+    margins = germ_dissipative(model, (qm[:, None], qp[:, None]), (qm, qp))
+    worst = max(0.0, float(np.max(-margins, initial=-math.inf)))  # violation depth
     return CheckRecord(
         name="germ_dissipativity",
         passed=worst <= 1e-12,
         measured=worst,
         tolerance=1e-12,
-        scenario=f"{len(members)} admissible pairs from a {grid_n}x{grid_n} grid",
+        scenario=f"{qm.size} admissible pairs from a {grid_n}x{grid_n} grid",
     )
 
 
@@ -553,7 +558,7 @@ def check_supersolution_floor(
 
     u0 = hj.canonical_node_field(grid, h.model, CanonicalDatum(shape=DatumShape.PHI_HAT, level=0.0))
     out = h.evolve_hj(u0, [t_end])[-1]
-    floor = np.array([hj.exact_roof0_uncapped(h.model, t_end, x) for x in xs])
+    floor = hj.exact_roof0_uncapped(h.model, t_end, xs)
     violation = max(violation, float(np.max(floor - slack - out.values)))
 
     for level in valley_levels:
@@ -581,19 +586,19 @@ def check_oracle_scale_invariance(
     rng = np.random.default_rng(seed)
     amax = model.a_max
     cap = model.limiter
+    draws = [
+        (rng.uniform(0.25, 4.0), rng.uniform(0.1, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.0, amax))
+        for _ in range(n_samples)
+    ]
+    eps, t, x, level = np.array(draws).reshape(n_samples, 4).T
     worst = 0.0
-    for _ in range(n_samples):
-        eps = rng.uniform(0.25, 4.0)
-        t = rng.uniform(0.1, 2.0)
-        x = rng.uniform(-2.0, 2.0)
-        level = rng.uniform(0.0, amax)
-        for f, fs in (
-            (hj.exact_roof0_uncapped(model, t, x), hj.exact_roof0_uncapped(model, t / eps, x / eps)),
-            (hj.exact_roof0_capped(model, cap, t, x), hj.exact_roof0_capped(model, cap, t / eps, x / eps)),
-            (hj.exact_roof_drain(model, level, t, x), hj.exact_roof_drain(model, level, t / eps, x / eps)),
-            (hj.exact_valley_capped(model, level, t, x), hj.exact_valley_capped(model, level, t / eps, x / eps)),
-        ):
-            worst = max(worst, abs(eps * fs - f))
+    for f, fs in (
+        (hj.exact_roof0_uncapped(model, t, x), hj.exact_roof0_uncapped(model, t / eps, x / eps)),
+        (hj.exact_roof0_capped(model, cap, t, x), hj.exact_roof0_capped(model, cap, t / eps, x / eps)),
+        (hj.exact_roof_drain(model, level, t, x), hj.exact_roof_drain(model, level, t / eps, x / eps)),
+        (hj.exact_valley_capped(model, level, t, x), hj.exact_valley_capped(model, level, t / eps, x / eps)),
+    ):
+        worst = max(worst, float(np.max(np.abs(eps * fs - f), initial=0.0)))
     return CheckRecord(
         name="oracle_scale_invariance",
         passed=worst <= 1e-12,
@@ -615,7 +620,7 @@ def check_hj_exact_agreement(
     out = h.evolve_hj(u0, [t_end])[-1]
     xs = grid.node_coords()
     mask = (xs >= window[0]) & (xs <= window[1])
-    exact = np.array([hj.exact_roof0_capped(h.model, h.model.limiter, t_end, x) for x in xs[mask]])
+    exact = hj.exact_roof0_capped(h.model, h.model.limiter, t_end, xs[mask])
     worst = float(np.max(np.abs(out.values[mask] - exact)))
     return CheckRecord(
         name="hj_exact_agreement",
@@ -746,30 +751,42 @@ def run_battery(
     handles to subject a third-party semi-group to the same battery
     (the bitwise finite-speed/locality checks then compare it against
     the reference scheme, which an independent implementation will fail
-    unless it reproduces it exactly).
+    unless it reproduces it exactly).  Each record carries the wall time
+    of its check; the two cap probes are timed in ``limiter_id_cl`` and
+    ``limiter_id_hj``, so ``limiter_id_agreement`` reads 0.
     """
     h_cl = cl_handle or SemigroupHandle("cl", model=model, dx=dx, domain=domain, cfl=cfl)
     h_hj = hj_handle or SemigroupHandle("hj", model=model, dx=dx, domain=domain, cfl=cfl)
     report = VerificationReport(seed=seed)
 
-    report.add(check_riemann_admissibility(model))
-    report.add(check_germ_dissipativity(model))
-    report.add(check_l1_contraction(h_cl, n_trials=l1_trials, seed=seed))
-    report.add(check_comparison(h_cl, seed=seed + 1))
-    report.add(check_mass(h_cl, seed=seed + 2))
-    report.add(check_finite_speed(h_cl, seed=seed + 3))
-    report.add(check_locality(h_cl, seed=seed + 4))
-    report.add(check_scale_invariance_cl(h_cl))
+    def timed(fn, *args, **kwargs):
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        return out, time.perf_counter() - t0
 
-    report.add(check_linf_contraction(h_hj, n_trials=linf_trials, seed=seed + 5))
-    report.add(check_constants(h_hj, seed=seed + 6))
-    report.add(check_duality(h_hj))
-    report.add(check_supersolution_floor(h_hj))
-    report.add(check_oracle_scale_invariance(model, seed=seed + 7))
-    report.add(check_hj_exact_agreement(h_hj))
+    def add(check, *args, **kwargs) -> None:
+        record, wall_s = timed(check, *args, **kwargs)
+        record.wall_s = wall_s
+        report.add(record)
 
-    a_cl = identify_limiter_cl(h_cl)
-    a_hj = identify_limiter_hj(h_hj)
+    add(check_riemann_admissibility, model)
+    add(check_germ_dissipativity, model)
+    add(check_l1_contraction, h_cl, n_trials=l1_trials, seed=seed)
+    add(check_comparison, h_cl, seed=seed + 1)
+    add(check_mass, h_cl, seed=seed + 2)
+    add(check_finite_speed, h_cl, seed=seed + 3)
+    add(check_locality, h_cl, seed=seed + 4)
+    add(check_scale_invariance_cl, h_cl)
+
+    add(check_linf_contraction, h_hj, n_trials=linf_trials, seed=seed + 5)
+    add(check_constants, h_hj, seed=seed + 6)
+    add(check_duality, h_hj)
+    add(check_supersolution_floor, h_hj)
+    add(check_oracle_scale_invariance, model, seed=seed + 7)
+    add(check_hj_exact_agreement, h_hj)
+
+    a_cl, wall_cl = timed(identify_limiter_cl, h_cl)
+    a_hj, wall_hj = timed(identify_limiter_hj, h_hj)
     a_true = model.limiter
     report.add(
         CheckRecord(
@@ -778,6 +795,7 @@ def run_battery(
             measured=abs(a_cl - a_true),
             tolerance=0.01,
             scenario=f"step datum estimate {a_cl:.6g} vs configured {a_true:.6g}, dx={dx:g}",
+            wall_s=wall_cl,
         )
     )
     report.add(
@@ -787,6 +805,7 @@ def run_battery(
             measured=abs(a_hj - a_true),
             tolerance=0.01,
             scenario=f"roof datum estimate {a_hj:.6g} vs configured {a_true:.6g}, dx={dx:g}",
+            wall_s=wall_hj,
         )
     )
     report.add(
@@ -800,6 +819,7 @@ def run_battery(
     )
     report.identified_limiter = a_hj
 
-    scan = empirical_germ_scan(h_cl, grid_n=scan_grid_n, limiter_estimate=a_cl)
+    scan, wall_scan = timed(empirical_germ_scan, h_cl, grid_n=scan_grid_n, limiter_estimate=a_cl)
+    scan.record.wall_s = wall_scan
     report.add(scan.record)
     return report

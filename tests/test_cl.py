@@ -183,6 +183,20 @@ def test_solve_validates_inputs(sym_junction):
         solve(state, sym_junction, 1.0, snapshot_times=[math.nan])
 
 
+def test_solve_rejects_targets_before_the_datum_time(sym_junction):
+    """A march runs forwards from its datum: a target before it would come back mislabelled."""
+    g = Grid.from_domain(-1.0, 1.0, 40)
+    half = solve(riemann_field(g, 0.5, 0.5), sym_junction, 0.5)[-1]
+    assert half.time == 0.5
+    with pytest.raises(StepError, match=r"snapshots \[0.25, 0.5\] outside \[0.5, t_end=0.5\]"):
+        solve(half, sym_junction, 0.5, snapshot_times=[0.25, 0.5])
+    with pytest.raises(StepError, match="t_end=0.25 precedes the datum's time 0.5"):
+        solve(half, sym_junction, 0.25)
+    later = solve(half, sym_junction, 1.0, snapshot_times=[0.5, 0.75, 1.0])
+    assert [s.time for s in later] == [0.5, 0.75, 1.0]
+    np.testing.assert_array_equal(later[0].values, half.values)
+
+
 @pytest.mark.parametrize("bad, message", [(math.nan, "density must be finite"), (7.0, "density 7.0 outside")])
 def test_zero_step_solve_validates_datum(sym_junction, bad, message):
     g = Grid.from_domain(-1.0, 1.0, 40)

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -411,6 +412,29 @@ def test_verify_rejects_unusable_external_output(tmp_path, capsys, source, flag,
     assert rc == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "wrote an unusable state" in err and message in err
+
+
+def test_verify_hanging_external_times_out(tmp_path, capsys):
+    cfg = write_config(tmp_path, cells=64, datum=None)
+    script = tmp_path / "hang.py"
+    script.write_text("import time; time.sleep(60)\n")
+    t0 = time.monotonic()
+    rc = main(
+        ["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+         "--external-cl", sys.executable, str(script), "--external-timeout", "1",
+         "--l1-trials", "1", "--linf-trials", "1", "--scan-grid", "2"]
+    )
+    assert rc == 3
+    assert time.monotonic() - t0 < 10.0
+    assert "timed out after 1 s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "inf", "nan"])
+def test_verify_rejects_bad_external_timeout(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, cells=64, datum=None)
+    rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out"), "--external-timeout", value])
+    assert rc == 2
+    assert "external-timeout" in capsys.readouterr().err
 
 
 def test_verify_unfaithful_external_fails(tmp_path, capsys):

@@ -230,6 +230,17 @@ def test_zero_step_hj_direct_solve_validates_datum(sym_junction):
             hj_direct_solve(u0, sym_junction, t_end)
 
 
+def test_hj_direct_solve_rejects_targets_before_the_datum_time(sym_junction):
+    g = Grid.from_domain(-1.0, 1.0, 20)
+    u0 = node_field_from_function(g, lambda x: 0.5 * x)
+    u0.time = 0.5
+    with pytest.raises(StepError, match="outside"):
+        hj_direct_solve(u0, sym_junction, 0.5, snapshot_times=[0.25, 0.5])
+    with pytest.raises(StepError, match="precedes the datum's time 0.5"):
+        hj_direct_solve(u0, sym_junction, 0.25)
+    assert [s.time for s in hj_direct_solve(u0, sym_junction, 0.75, snapshot_times=[0.5, 0.75])] == [0.5, 0.75]
+
+
 # -- direct node scheme --------------------------------------------------------
 
 

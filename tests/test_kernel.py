@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from junctionflow import (
@@ -34,6 +34,7 @@ from junctionflow import (
     solve,
     validate_lip,
 )
+from strategies import junctions, side_values
 
 # -- reference schemes ---------------------------------------------------------
 
@@ -115,49 +116,6 @@ def _ref_hj_direct_solve(u0: NodeField, j: JunctionModel, t_end: float, cfl: flo
 
 # -- strategies ------------------------------------------------------------------
 
-quadratic_fluxes = st.builds(QuadraticFlux, rmax=st.floats(0.2, 5.0), hmax=st.floats(0.05, 2.0))
-
-
-@st.composite
-def polygon_fluxes(draw):
-    """A concave polygon through 1-4 samples of a random concave parabola."""
-    rmax = draw(st.floats(0.5, 3.0))
-    hmax = draw(st.floats(0.05, 1.0))
-    fracs = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4, unique=True)))
-    inner = [(f * rmax, 4.0 * hmax * f * (1.0 - f)) for f in fracs]
-    try:
-        return PiecewiseLinearFlux(points=((0.0, 0.0), *inner, (rmax, 0.0)))
-    except DomainError:  # a zero-slope chord or a breakpoint collision
-        assume(False)
-
-
-any_flux = st.one_of(quadratic_fluxes, polygon_fluxes())
-
-
-@st.composite
-def junctions(draw):
-    left, right = draw(any_flux), draw(any_flux)
-    frac = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-    return JunctionModel(left=left, right=right, limiter=frac * min(left.capacity, right.capacity))
-
-
-def _side_values(rng: np.random.Generator, flux, n: int) -> np.ndarray:
-    """Uniform densities, with the points where the envelopes switch and round-off excursions.
-
-    Near p_crit, H(p) can exceed H(p_crit) by an ulp, which is where the
-    two kinds of outer edge (Godunov flux of a copy cell, plain H) part.
-    """
-    v = rng.uniform(0.0, flux.rmax, n)
-    special = np.array([0.0, flux.rmax, flux.p_crit, -BOUNDARY_TOL, flux.rmax + BOUNDARY_TOL])
-    pick = rng.random(n) < 0.3
-    v[pick] = rng.choice(special, int(pick.sum()))
-    near = rng.random(n) < 0.3
-    near[[0, -1]] = rng.random(2) < 0.5  # the outer edges' cells are the ones that matter
-    tweak = rng.random(n) < 0.2
-    v[tweak] += rng.uniform(-BOUNDARY_TOL, BOUNDARY_TOL, int(tweak.sum()))
-    v[near] = flux.p_crit * (1.0 + rng.uniform(-3e-9, 3e-9, int(near.sum())))
-    return np.clip(v, -BOUNDARY_TOL, flux.rmax + BOUNDARY_TOL)
-
 
 @st.composite
 def marches(draw):
@@ -187,7 +145,7 @@ def _outcome(fn, *args):
 def test_solve_matches_reference_bitwise(case):
     j, grid, seed, cfl, t_end, targets = case
     rng = np.random.default_rng(seed)
-    values = np.concatenate([_side_values(rng, j.left, grid.n_left), _side_values(rng, j.right, grid.n_right)])
+    values = np.concatenate([side_values(rng, j.left, grid.n_left), side_values(rng, j.right, grid.n_right)])
     # integrals that start at 0 show an ulp of edge flux that a sum with 0.25 would round away
     left_int, right_int = rng.choice([0.0, 0.25], 2)
     rho0 = CellField(grid, values, left_flux_time_integral=left_int, right_flux_time_integral=right_int)
@@ -210,7 +168,7 @@ def test_solve_matches_reference_bitwise(case):
 def test_hj_direct_solve_matches_reference_bitwise(case):
     j, grid, seed, cfl, t_end, targets = case
     rng = np.random.default_rng(seed)
-    slopes = np.concatenate([_side_values(rng, j.left, grid.n_left), _side_values(rng, j.right, grid.n_right)])
+    slopes = np.concatenate([side_values(rng, j.left, grid.n_left), side_values(rng, j.right, grid.n_right)])
     # keep the entry check (tolerance 1e-9) clear of the cumulative-sum round-off
     slopes = np.concatenate(
         [np.clip(slopes[: grid.n_left], 0.0, j.left.rmax), np.clip(slopes[grid.n_left :], 0.0, j.right.rmax)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 import textwrap
 
@@ -95,6 +96,25 @@ def test_record_fields_are_informative(cl_handle):
     assert d["name"] == "mass_conservation"
     assert d["status"] == "pass"
     assert "PASS" in rec.summary() and "tolerance" in rec.summary()
+
+
+def test_battery_records_carry_wall_time(battery_report):
+    for rec in battery_report.records:
+        assert math.isfinite(rec.wall_s) and rec.wall_s >= 0.0, rec.name
+        assert rec.to_dict()["wall_s"] == rec.wall_s
+        assert "wall" not in rec.summary()
+    assert sum(rec.wall_s for rec in battery_report.records) > 0.0
+
+
+def test_external_handle_times_out(tmp_path, sym_junction):
+    script = tmp_path / "hang.py"
+    script.write_text("import time; time.sleep(60)\n")
+    external = SemigroupHandle("cl", sym_junction, COARSE_DX, command=(sys.executable, str(script)), timeout=0.5)
+    with pytest.raises(StepError, match="timed out after 0.5 s"):
+        external.evolve_cl(riemann_field(external.grid, 0.5, 0.5), [0.1])
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="external timeout"):
+            SemigroupHandle("cl", sym_junction, command=("true",), timeout=bad)
 
 
 # -- limiter identification -----------------------------------------------------
