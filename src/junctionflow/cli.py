@@ -312,8 +312,7 @@ def _write_manifest(out_dir: Path, payload: dict) -> Path:
 def _write_xy_csv(path: Path, header: tuple[str, str], xs: np.ndarray, ys: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"{header[0]},{header[1]}\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
+        fh.writelines(f"{x!r},{y!r}\n" for x, y in zip(xs.tolist(), ys.tolist()))
 
 
 # -- subcommands -------------------------------------------------------------

@@ -5,8 +5,13 @@ exactly, so states survive the external-process protocol bit for bit.
 The junction is pinned at x = 0 in every file and each row carries its
 side ('l' left of the junction, 'r' right of it, 'j' the junction node
 itself) so there is no off-by-one ambiguity about where the interface
-sits.  Read against a known grid (the external-process protocol), a
-file is checked row by row: coordinates, side tags and finite values.
+sits.  A file is written in one streamed pass: the header, then one
+``x,value,side`` line per row, each ended by ``\r\n``.  These are the
+bytes the ``csv`` module's default writer produces (no ``repr`` of a
+float and no side tag needs quoting), and files are read back with the
+``csv`` module.  Every row must carry as many fields as the header; read
+against a known grid (the external-process protocol), a file is checked
+row by row: coordinates, side tags and finite values.
 """
 
 from __future__ import annotations
@@ -36,10 +41,8 @@ def _node_sides(grid: Grid) -> list[str]:
 
 def _write_rows(path, header: list[str], xs: np.ndarray, values: np.ndarray, sides: list[str]) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for x, v, side in zip(xs, values, sides):
-            w.writerow([_fmt(x), _fmt(v), side])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(f"{x!r},{v!r},{side}\r\n" for x, v, side in zip(xs.tolist(), values.tolist(), sides))
 
 
 def write_cell_csv(path, state: CellField) -> None:
@@ -80,23 +83,27 @@ def read_node_csv(path, grid: Grid | None = None) -> NodeField:
 def _read_rows(path, value_col: str) -> tuple[np.ndarray, np.ndarray, list[str] | None]:
     """The x and value columns, and the side column when the file has one."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "x" not in reader.fieldnames or value_col not in reader.fieldnames:
+        rows = (row for row in csv.reader(fh) if row)  # blank lines hold no row
+        header = next(rows, [])
+        if "x" not in header or value_col not in header:
             raise GridMismatchError(f"{path}: expected columns x,{value_col}")
-        has_side = "side" in reader.fieldnames
+        ix, iv = header.index("x"), header.index(value_col)
+        iside = header.index("side") if "side" in header else None
         xs, vals, sides = [], [], []
-        for row in reader:
-            xs.append(float(row["x"]))
-            vals.append(float(row[value_col]))
-            if has_side:
-                sides.append(row["side"])
+        for k, row in enumerate(rows, 1):
+            if len(row) != len(header):
+                raise GridMismatchError(f"{path}: data row {k} has {len(row)} field(s); the header has {len(header)}")
+            xs.append(float(row[ix]))
+            vals.append(float(row[iv]))
+            if iside is not None:
+                sides.append(row[iside])
     if len(xs) < 2:
         raise GridMismatchError(f"{path}: too few rows")
     vals = np.array(vals)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise DomainError(f"{path}: data row {bad[0] + 1} holds the non-finite value {_fmt(vals[bad[0]])}")
-    return np.array(xs), vals, sides if has_side else None
+    return np.array(xs), vals, sides if iside is not None else None
 
 
 def _check_rows(path, xs, sides, grid: Grid, expected_x: np.ndarray, expected_sides: list[str], what: str) -> None:

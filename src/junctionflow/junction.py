@@ -49,7 +49,7 @@ class JunctionModel:
     def __post_init__(self):
         a = float(self.limiter)
         amax = self.a_max
-        if a < -1e-12 or a > amax * (1.0 + 1e-12) + 1e-12:
+        if not (-1e-12 <= a <= amax * (1.0 + 1e-12) + 1e-12):  # written so that NaN fails too
             raise LevelError(f"limiter {a} outside [0, {amax}]")
         object.__setattr__(self, "limiter", min(max(a, 0.0), amax))
 

@@ -369,7 +369,7 @@ def test_verify_broken_external_numerical_failure(tmp_path, capsys):
 
 
 # External commands whose output the audit must refuse: rows reversed and shifted by 7,
-# one value replaced by NaN, and no output file at all.
+# one value replaced by NaN, no output file at all, and the last row cut to a bare x.
 MISGRIDDED_EXTERNAL = """
 import csv, sys
 header, *rows = list(csv.reader(open(sys.argv[1])))
@@ -388,6 +388,14 @@ with open(sys.argv[3], "w", newline="") as fh:
     csv.writer(fh).writerows([header, *rows])
 """
 
+SHORT_ROW_EXTERNAL = """
+import csv, sys
+header, *rows = list(csv.reader(open(sys.argv[1])))
+rows[-1] = rows[-1][:1]
+with open(sys.argv[3], "w", newline="") as fh:
+    csv.writer(fh).writerows([header, *rows])
+"""
+
 
 @pytest.mark.parametrize(
     "source,flag,message",
@@ -397,8 +405,10 @@ with open(sys.argv[3], "w", newline="") as fh:
         (NAN_EXTERNAL, "--external-cl", "non-finite value nan"),
         (NAN_EXTERNAL, "--external-hj", "non-finite value nan"),
         ("", "--external-cl", "No such file"),
+        (SHORT_ROW_EXTERNAL, "--external-cl", "data row 64 has 1 field(s); the header has 3"),
+        (SHORT_ROW_EXTERNAL, "--external-hj", "data row 65 has 1 field(s); the header has 3"),
     ],
-    ids=["misgridded-cl", "misgridded-hj", "nan-cl", "nan-hj", "no-output"],
+    ids=["misgridded-cl", "misgridded-hj", "nan-cl", "nan-hj", "no-output", "short-row-cl", "short-row-hj"],
 )
 def test_verify_rejects_unusable_external_output(tmp_path, capsys, source, flag, message):
     cfg = write_config(tmp_path, cells=64, datum=None)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from junctionflow import (
     CellField,
@@ -20,6 +25,7 @@ from junctionflow import (
     write_manifest,
     write_node_csv,
 )
+from junctionflow.cli import _write_xy_csv
 
 
 def test_cell_csv_roundtrip_bitwise(tmp_path):
@@ -117,6 +123,28 @@ def test_csv_rejects_non_finite_values(tmp_path, bad):
         read_node_csv(path)
 
 
+@pytest.mark.parametrize(
+    "row,fields", [(-1, ["0.975"]), (4, ["-0.775", "0.1"]), (0, ["-0.975", "0.0", "l", "1"])],
+    ids=["last-row-bare-x", "row-without-side", "row-with-extra-field"],
+)
+def test_csv_rejects_ragged_rows(tmp_path, row, fields):
+    grid = Grid.from_domain(-1.0, 1.0, 40)
+    path = tmp_path / "cells.csv"
+    write_cell_csv(path, CellField(grid, np.linspace(0.0, 1.0, 40)))
+    _rewrite(path, lambda rows: rows.__setitem__(row, fields))
+    for g in (grid, None):
+        with pytest.raises(GridMismatchError, match=rf"data row {row % 40 + 1} has {len(fields)} field\(s\); the header has 3"):
+            read_cell_csv(path, g)
+
+
+def test_csv_without_side_column_rejects_short_rows(tmp_path):
+    grid = Grid.from_domain(-1.0, 1.0, 40)
+    path = tmp_path / "nodes.csv"
+    path.write_text("x,u\n" + "".join(f"{float(x)!r},0.0\n" for x in grid.node_coords()[:-1]) + "1.0\n")
+    with pytest.raises(GridMismatchError, match=r"data row 41 has 1 field\(s\); the header has 2"):
+        read_node_csv(path, grid)
+
+
 def test_side_column_tags_junction(tmp_path):
     grid = Grid.from_domain(-0.5, 1.0, 30)
     write_cell_csv(tmp_path / "c.csv", CellField(grid, np.zeros(30)))
@@ -143,3 +171,89 @@ def test_manifest_roundtrip(tmp_path):
     a = path.read_bytes()
     write_manifest(path, payload)
     assert path.read_bytes() == a
+
+
+# -- byte identity of the writers -------------------------------------------------
+#
+# The writers stream their rows in one pass; these are the loops they replaced,
+# kept verbatim as references for the bytes.
+
+
+def _fmt(v: float) -> str:
+    return repr(float(v))
+
+
+def _write_rows_reference(path, header: list[str], xs: np.ndarray, values: np.ndarray, sides: list[str]) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for x, v, side in zip(xs, values, sides):
+            w.writerow([_fmt(x), _fmt(v), side])
+
+
+def _write_xy_csv_reference(path: Path, header: tuple[str, str], xs: np.ndarray, ys: np.ndarray) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(f"{header[0]},{header[1]}\n")
+        for x, y in zip(xs, ys):
+            fh.write(f"{float(x)!r},{float(y)!r}\n")
+
+
+# Signed zero, the smallest subnormal, the two magnitudes where a float's repr
+# switches to exponent form, a non-terminating binary fraction, and the non-finite
+# values the writers pass through unvalidated.
+SPECIAL = [-0.0, 0.0, 5e-324, 1e16, 1e-05, 1 / 3, float("nan"), float("inf"), float("-inf"), -1e-05]
+FINITE = [v for v in SPECIAL if np.isfinite(v)]
+any_float = st.sampled_from(SPECIAL) | st.floats()
+
+
+@st.composite
+def grids_with_values(draw):
+    """A small grid with a random dx, and values for its cells and its nodes."""
+    grid = Grid(draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.floats(5e-324, 1e300)))
+    cells = draw(st.lists(any_float, min_size=grid.n_cells, max_size=grid.n_cells))
+    nodes = draw(st.lists(any_float, min_size=grid.n_cells + 1, max_size=grid.n_cells + 1))
+    return grid, np.array(cells), np.array(nodes)
+
+
+@settings(max_examples=80, deadline=None)
+@example((Grid(5, 5, 0.1), np.array(SPECIAL), np.array([*SPECIAL, 0.5])))
+@example((Grid(3, 4, 1 / 3), np.array(FINITE), np.array([*FINITE, 0.5])))
+@given(grids_with_values())
+def test_state_writers_match_the_csv_writer_bytes(case):
+    grid, cells, nodes = case
+    nl, nr = grid.n_left, grid.n_right
+    files = [
+        (write_cell_csv, read_cell_csv, CellField(grid, cells), ["x", "rho", "side"], grid.cell_centers(), ["l"] * nl + ["r"] * nr),
+        (write_node_csv, read_node_csv, NodeField(grid, nodes), ["x", "u", "side"], grid.node_coords(), ["l"] * nl + ["j"] + ["r"] * nr),
+    ]
+    with tempfile.TemporaryDirectory() as td:
+        got, want = Path(td) / "got.csv", Path(td) / "want.csv"
+        for write, read, state, header, xs, sides in files:
+            write(got, state)
+            _write_rows_reference(want, header, xs, state.values, sides)
+            assert got.read_bytes() == want.read_bytes()
+            if np.all(np.isfinite(state.values)):
+                back = read(got, grid)
+                assert back.values.tobytes() == state.values.tobytes()
+            else:
+                with pytest.raises(DomainError, match="non-finite"):
+                    read(got, grid)
+
+
+@st.composite
+def xy_columns(draw):
+    n = draw(st.integers(0, 12))
+    column = st.lists(any_float, min_size=n, max_size=n).map(np.array)
+    return draw(column), draw(column)
+
+
+@settings(max_examples=50, deadline=None)
+@example((np.array(SPECIAL), np.array(SPECIAL[::-1])))
+@given(xy_columns())
+def test_xy_writer_matches_the_row_loop_bytes(columns):
+    xs, ys = columns
+    with tempfile.TemporaryDirectory() as td:
+        got, want = Path(td) / "got.csv", Path(td) / "want.csv"
+        _write_xy_csv(got, ("xi", "rho"), xs, ys)
+        _write_xy_csv_reference(want, ("xi", "rho"), xs, ys)
+        assert got.read_bytes() == want.read_bytes()

@@ -41,6 +41,12 @@ def test_junction_model_validation(default_flux):
     assert JunctionModel(default_flux, default_flux, 0.25).a_max == 0.25
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_junction_model_rejects_non_finite_limiter(default_flux, bad):
+    with pytest.raises(LevelError, match=rf"limiter {bad} outside \[0, 0.25\]"):
+        JunctionModel(left=default_flux, right=default_flux, limiter=bad)
+
+
 def test_germ_contains_frozen_values(sym_junction):
     assert germ_contains(sym_junction, (0.75, 0.25))
     assert not germ_contains(sym_junction, (0.5, 0.5))
