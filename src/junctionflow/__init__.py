@@ -38,7 +38,6 @@ from .cl_solver import (
     field_from_function,
     godunov_flux,
     l1_distance,
-    linf_distance,
     mass,
     plan_march,
     plan_steps,
@@ -125,7 +124,6 @@ __all__ = [
     "junction_flux",
     "kruzhkov_flux",
     "l1_distance",
-    "linf_distance",
     "mass",
     "node_field_from_function",
     "plan_march",

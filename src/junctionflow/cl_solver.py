@@ -315,12 +315,6 @@ def l1_distance(s1: CellField, s2: CellField) -> float:
     return s1.grid.dx * float(np.sum(np.abs(s1.values - s2.values)))
 
 
-def linf_distance(s1: CellField, s2: CellField) -> float:
-    if s1.grid != s2.grid:
-        raise GridMismatchError("fields live on different grids")
-    return float(np.max(np.abs(s1.values - s2.values)))
-
-
 def trace_estimate(state: CellField) -> tuple[float, float]:
     """Densities of the two cells adjacent to the junction (numerical traces)."""
     nl = state.grid.n_left

@@ -60,18 +60,10 @@ ArrayLike = Union[float, np.ndarray]
 BOUNDARY_TOL = 1e-9
 
 
-def _as_input(p) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(p, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _as_output(arr: np.ndarray, scalar: bool) -> ArrayLike:
-    return float(arr) if scalar else arr
-
-
 def float_or_array(out) -> ArrayLike:
     """A 0-d result as a float, anything else as an array: float in, float out."""
-    return float(out) if np.ndim(out) == 0 else np.asarray(out)
+    out = np.asarray(out)
+    return out if out.ndim else float(out)
 
 
 def first_entry(values: np.ndarray, mask: np.ndarray) -> float:
@@ -112,8 +104,7 @@ class ConcaveFlux:
         raise NotImplementedError
 
     def eval(self, p: ArrayLike) -> ArrayLike:
-        arr, scalar = _as_input(self.clamp(p))
-        return _as_output(self._flow(arr), scalar)
+        return float_or_array(self._flow(self.clamp(p)))
 
     def _flow_into(self, p: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """Write H(p) into ``out`` for densities already inside [0, rmax]; unvalidated.
@@ -144,9 +135,6 @@ class ConcaveFlux:
         """
         raise NotImplementedError
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
     # -- generic operations -----------------------------------------------
 
     def clamp(self, p: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
@@ -155,20 +143,19 @@ class ConcaveFlux:
         With ``out`` (an array shaped like p) the clamped values are
         written there instead of into a new array.
         """
-        arr, scalar = _as_input(p)
+        arr = np.asarray(p, dtype=float)
         # fast path: one min/max pair; a NaN anywhere fails both comparisons
-        if arr.size and arr.min() >= -BOUNDARY_TOL and arr.max() <= self.rmax + BOUNDARY_TOL:
-            return _as_output(np.clip(arr, 0.0, self.rmax, out=out), scalar)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("density must be finite")
-        if np.any(arr < -BOUNDARY_TOL) or np.any(arr > self.rmax + BOUNDARY_TOL):
-            bad = arr if scalar else arr[(arr < -BOUNDARY_TOL) | (arr > self.rmax + BOUNDARY_TOL)].flat[0]
-            raise DomainError(f"density {float(bad)} outside [0, {self.rmax}]")
-        return _as_output(np.clip(arr, 0.0, self.rmax, out=out), scalar)
+        if not (arr.size and arr.min() >= -BOUNDARY_TOL and arr.max() <= self.rmax + BOUNDARY_TOL):
+            if not np.all(np.isfinite(arr)):
+                raise DomainError("density must be finite")
+            bad = (arr < -BOUNDARY_TOL) | (arr > self.rmax + BOUNDARY_TOL)
+            if bad.any():
+                raise DomainError(f"density {first_entry(arr, bad)} outside [0, {self.rmax}]")
+        return float_or_array(np.clip(arr, 0.0, self.rmax, out=out))
 
     def clamp_level(self, a: ArrayLike) -> ArrayLike:
         """Validate flow levels against [0, capacity] and clamp (NaN passes through)."""
-        arr, scalar = _as_input(a)
+        arr = np.asarray(a, dtype=float)
         cap = self.capacity
         bad = (arr < -BOUNDARY_TOL) | (arr > cap * (1.0 + 1e-12) + BOUNDARY_TOL)
         if bad.any():
@@ -176,17 +163,15 @@ class ConcaveFlux:
             if a < 0.0:
                 raise DomainError(f"flow level {a} is negative")
             raise LevelError(f"flow level {a} exceeds capacity {cap}")
-        return _as_output(np.clip(arr, 0.0, cap), scalar)
+        return float_or_array(np.clip(arr, 0.0, cap))
 
     def demand(self, p: ArrayLike) -> ArrayLike:
         """Nondecreasing envelope of H: H(p) up to p_crit, capacity beyond."""
-        arr, scalar = _as_input(self.clamp(p))
-        return _as_output(self._flow(np.minimum(arr, self.p_crit)), scalar)
+        return float_or_array(self._flow(np.minimum(self.clamp(p), self.p_crit)))
 
     def supply(self, p: ArrayLike) -> ArrayLike:
         """Nonincreasing envelope of H: capacity up to p_crit, H(p) beyond."""
-        arr, scalar = _as_input(self.clamp(p))
-        return _as_output(self._flow(np.maximum(arr, self.p_crit)), scalar)
+        return float_or_array(self._flow(np.maximum(self.clamp(p), self.p_crit)))
 
     def envelopes(self, p: np.ndarray, demand_out: np.ndarray, supply_out: np.ndarray) -> None:
         """Write demand(p) and supply(p) for an array p already clamped to [0, rmax].
@@ -272,29 +257,21 @@ class QuadraticFlux(ConcaveFlux):
         return np.multiply(out, work, out=out)
 
     def derivative(self, p: ArrayLike) -> ArrayLike:
-        arr, scalar = _as_input(self.clamp(p))
-        return _as_output(self._coef * (self.rmax - 2.0 * arr), scalar)
+        return float_or_array(self._coef * (self.rmax - 2.0 * self.clamp(p)))
 
     def inv_derivative(self, v: ArrayLike) -> ArrayLike:
-        arr, scalar = _as_input(v)
-        p = 0.5 * (self.rmax - arr / self._coef)
-        return _as_output(np.clip(p, 0.0, self.rmax), scalar)
+        p = 0.5 * (self.rmax - np.asarray(v, dtype=float) / self._coef)
+        return float_or_array(np.clip(p, 0.0, self.rmax))
 
     def roots(self, a: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
-        arr, scalar = _as_input(self.clamp_level(a))
         # stable form: p = rmax/2 * (1 -/+ sqrt(1 - a/hmax))
-        s = np.sqrt(np.maximum(1.0 - arr / self.hmax, 0.0))
-        lo = 0.5 * self.rmax * (1.0 - s)
-        hi = 0.5 * self.rmax * (1.0 + s)
-        return _as_output(lo, scalar), _as_output(hi, scalar)
+        s = np.sqrt(np.maximum(1.0 - self.clamp_level(a) / self.hmax, 0.0))
+        return float_or_array(0.5 * self.rmax * (1.0 - s)), float_or_array(0.5 * self.rmax * (1.0 + s))
 
     def _conjugate_candidates(self, a: ArrayLike, v: np.ndarray) -> np.ndarray:
         lo, hi = self.roots(a)
         stat = np.clip(0.5 * (self.rmax - v / self._coef), 0.0, self.rmax)
         return np.stack(np.broadcast_arrays(0.0, self.rmax, lo, hi, stat))
-
-    def to_config(self) -> dict:
-        return {"kind": "quadratic", "rmax": self.rmax, "hmax": self.hmax}
 
 
 @dataclass(frozen=True)
@@ -356,34 +333,32 @@ class PiecewiseLinearFlux(ConcaveFlux):
         return out
 
     def derivative(self, p: ArrayLike) -> ArrayLike:
-        arr, scalar = _as_input(self.clamp(p))
-        idx = np.clip(np.searchsorted(self._px, arr, side="right") - 1, 0, len(self._slopes) - 1)
-        return _as_output(self._slopes[idx], scalar)
+        idx = np.clip(np.searchsorted(self._px, self.clamp(p), side="right") - 1, 0, len(self._slopes) - 1)
+        return float_or_array(self._slopes[idx])
 
     def inv_derivative(self, v: ArrayLike) -> ArrayLike:
-        arr, scalar = _as_input(v)
         # breakpoint whose subdifferential [slope_k, slope_{k-1}] contains v
-        idx = np.searchsorted(-self._slopes, -arr, side="left")
-        return _as_output(self._px[idx], scalar)
+        idx = np.searchsorted(-self._slopes, -np.asarray(v, dtype=float), side="left")
+        return float_or_array(self._px[idx])
 
     def roots(self, a: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
-        arr, scalar = _as_input(self.clamp_level(a))
-        iv = self._ivert
-        lo = np.interp(arr, self._hy[: iv + 1], self._px[: iv + 1])
-        hi = np.interp(arr, self._hy[iv:][::-1], self._px[iv:][::-1])
-        return _as_output(lo, scalar), _as_output(hi, scalar)
+        a, iv = self.clamp_level(a), self._ivert
+        lo = np.interp(a, self._hy[: iv + 1], self._px[: iv + 1])
+        hi = np.interp(a, self._hy[iv:][::-1], self._px[iv:][::-1])
+        return float_or_array(lo), float_or_array(hi)
 
     def _conjugate_candidates(self, a: ArrayLike, v: np.ndarray) -> np.ndarray:
         lo, hi = self.roots(a)
         # v only sets the shape: the breakpoints do not depend on it
         return np.stack(np.broadcast_arrays(*self._px, lo, hi, v)[:-1])
 
-    def to_config(self) -> dict:
-        return {"kind": "piecewise_linear", "points": [list(p) for p in self.points]}
-
 
 def flux_from_config(block: dict, path: str = "flux") -> ConcaveFlux:
-    """Build a flux from its config dictionary; see ``to_config`` for shapes."""
+    """Build a flux from its config dictionary.
+
+    Shapes: ``{"kind": "quadratic", "rmax": R, "hmax": h}`` or
+    ``{"kind": "piecewise_linear", "points": [[x, H], ...]}``.
+    """
     from .errors import ConfigError
 
     if not isinstance(block, dict):

@@ -93,8 +93,11 @@ def _read_rows(path, value_col: str) -> tuple[np.ndarray, np.ndarray, list[str] 
         for k, row in enumerate(rows, 1):
             if len(row) != len(header):
                 raise GridMismatchError(f"{path}: data row {k} has {len(row)} field(s); the header has {len(header)}")
-            xs.append(float(row[ix]))
-            vals.append(float(row[iv]))
+            try:
+                xs.append(float(row[ix]))
+                vals.append(float(row[iv]))
+            except ValueError as exc:
+                raise GridMismatchError(f"{path}: data row {k}: {exc}") from exc
             if iside is not None:
                 sides.append(row[iside])
     if len(xs) < 2:

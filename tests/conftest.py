@@ -8,13 +8,17 @@ ends with a compact PASS/FAIL table of every headline guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
 from junctionflow import JunctionModel, PiecewiseLinearFlux, QuadraticFlux, run_battery
+from junctionflow.cli import parse_config
 
 DESK_DX = 1.0 / 200.0
 DESK_DOMAIN = (-2.0, 2.0)
+#: The scenario config the README shows, verbatim.
+README_SCENARIO = Path(__file__).parent / "data" / "readme_scenario.json"
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -84,6 +88,17 @@ def asym_junction() -> JunctionModel:
         right=QuadraticFlux(rmax=1.5, hmax=0.2),
         limiter=0.15,
     )
+
+
+@pytest.fixture(scope="session")
+def readme_scenario() -> Path:
+    return README_SCENARIO
+
+
+@pytest.fixture(scope="session")
+def readme_junction() -> JunctionModel:
+    """The README scenario's junction: quadratic left, triangle right, cap 3/16."""
+    return parse_config(README_SCENARIO).model
 
 
 @pytest.fixture(scope="session")

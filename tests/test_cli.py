@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from junctionflow import SemigroupHandle, read_cell_csv, read_node_csv
+from junctionflow import GridMismatchError, SemigroupHandle, read_cell_csv, read_node_csv
 from junctionflow.cli import (
     ConfigError,
     main,
@@ -369,7 +371,8 @@ def test_verify_broken_external_numerical_failure(tmp_path, capsys):
 
 
 # External commands whose output the audit must refuse: rows reversed and shifted by 7,
-# one value replaced by NaN, no output file at all, and the last row cut to a bare x.
+# one value replaced by NaN, no output file at all, the last row cut to a bare x, and
+# one value left empty.
 MISGRIDDED_EXTERNAL = """
 import csv, sys
 header, *rows = list(csv.reader(open(sys.argv[1])))
@@ -396,6 +399,14 @@ with open(sys.argv[3], "w", newline="") as fh:
     csv.writer(fh).writerows([header, *rows])
 """
 
+EMPTY_FIELD_EXTERNAL = """
+import csv, sys
+header, *rows = list(csv.reader(open(sys.argv[1])))
+rows[2][1] = ""
+with open(sys.argv[3], "w", newline="") as fh:
+    csv.writer(fh).writerows([header, *rows])
+"""
+
 
 @pytest.mark.parametrize(
     "source,flag,message",
@@ -407,8 +418,12 @@ with open(sys.argv[3], "w", newline="") as fh:
         ("", "--external-cl", "No such file"),
         (SHORT_ROW_EXTERNAL, "--external-cl", "data row 64 has 1 field(s); the header has 3"),
         (SHORT_ROW_EXTERNAL, "--external-hj", "data row 65 has 1 field(s); the header has 3"),
+        (EMPTY_FIELD_EXTERNAL, "--external-cl", "data row 3: could not convert string to float: ''"),
     ],
-    ids=["misgridded-cl", "misgridded-hj", "nan-cl", "nan-hj", "no-output", "short-row-cl", "short-row-hj"],
+    ids=[
+        "misgridded-cl", "misgridded-hj", "nan-cl", "nan-hj", "no-output", "short-row-cl", "short-row-hj",
+        "empty-field-cl",
+    ],
 )
 def test_verify_rejects_unusable_external_output(tmp_path, capsys, source, flag, message):
     cfg = write_config(tmp_path, cells=64, datum=None)
@@ -422,6 +437,29 @@ def test_verify_rejects_unusable_external_output(tmp_path, capsys, source, flag,
     assert rc == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "wrote an unusable state" in err and message in err
+
+
+@pytest.mark.parametrize("read,column", [(read_cell_csv, "rho"), (read_node_csv, "u")])
+@pytest.mark.parametrize("row", ["-0.5,,l", "x,0.5,l"])
+def test_reader_names_the_row_of_a_non_numeric_field(tmp_path, read, column, row):
+    path = tmp_path / "state.csv"
+    path.write_text(f"x,{column},side\r\n-1.5,0.5,l\r\n{row}\r\n0.5,0.5,r\r\n")
+    with pytest.raises(GridMismatchError, match=re.escape(f"{path}: data row 2: could not convert string to float")):
+        read(path)
+
+
+def test_readme_scenario_passes_verify(tmp_path, capsys, readme_scenario):
+    """The README's scenario block is the committed config, and the battery passes on it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Scenario config\n\n```json\n", 1)[1].split("```", 1)[0]
+    assert block == readme_scenario.read_text()
+    rc = main(
+        ["verify", "--config", str(readme_scenario), "--out", str(tmp_path),
+         "--l1-trials", "10", "--linf-trials", "4", "--scan-grid", "5"]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "ALL CHECKS PASSED (18/18)" in out
 
 
 def test_verify_hanging_external_times_out(tmp_path, capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from junctionflow import (
+    CheckRecord,
     Grid,
     JunctionModel,
     NodeField,
@@ -22,6 +23,7 @@ from junctionflow import (
     random_cell_field,
     random_node_field,
     riemann_field,
+    run_battery,
 )
 from junctionflow.verifier import (
     check_comparison,
@@ -96,6 +98,33 @@ def test_record_fields_are_informative(cl_handle):
     assert d["name"] == "mass_conservation"
     assert d["status"] == "pass"
     assert "PASS" in rec.summary() and "tolerance" in rec.summary()
+    # the verdict is the margin's own: measured <= tolerance
+    assert CheckRecord("equal", 1e-10, 1e-10, "margin at the tolerance").passed
+    nan = CheckRecord("nan", math.nan, 0.0, "NaN margin")
+    assert not nan.passed and nan.to_dict()["status"] == "fail" and nan.summary().startswith("FAIL")
+
+
+def test_locality_is_bitwise_on_asymmetric_junctions(asym_junction, readme_junction):
+    """The whole-line references march on the junction run's steps, whatever each side's bound."""
+    mirror = JunctionModel(left=readme_junction.right, right=readme_junction.left, limiter=readme_junction.limiter)
+    for model in (asym_junction, readme_junction, mirror):
+        rec = check_locality(SemigroupHandle("cl", model=model, dx=COARSE_DX))
+        assert rec.measured == 0.0 and rec.passed, rec.summary()
+
+
+def test_mass_balance_counts_the_outer_edge_flows():
+    """With L = 1.5, compact data reach the outer edges by t = 1; the flow through them is no loss."""
+    flux = QuadraticFlux(rmax=1.0, hmax=0.375)
+    h = SemigroupHandle("cl", model=JunctionModel(left=flux, right=flux, limiter=0.2), dx=COARSE_DX)
+    rec = check_mass(h)
+    assert rec.passed, rec.summary()
+
+
+@pytest.mark.parametrize("junction", ["asym_junction", "readme_junction"])
+def test_battery_passes_on_asymmetric_junctions(request, junction):
+    report = run_battery(request.getfixturevalue(junction), dx=1.0 / 100.0, l1_trials=10, linf_trials=4, scan_grid_n=5)
+    assert len(report.records) == 18
+    assert report.all_passed, "\n".join(report.summary_lines())
 
 
 def test_battery_records_carry_wall_time(battery_report):
