@@ -28,8 +28,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError, StepError
-from .flux_models import CanonicalDatum, ConcaveFlux, canonical_eval
+from .errors import DomainError, GridMismatchError, StepError
+from .flux_models import CanonicalDatum, ConcaveFlux, DatumShape, canonical_eval
 from .junction import JunctionModel
 
 
@@ -131,6 +131,8 @@ def riemann_field(grid: Grid, rho_left: float, rho_right: float) -> CellField:
 
 def canonical_field(grid: Grid, j: JunctionModel, datum: CanonicalDatum) -> CellField:
     """Cell field sampling a step-shaped canonical datum at cell centers."""
+    if datum.shape not in (DatumShape.PSI_HAT, DatumShape.PSI_CHECK):
+        raise DomainError(f"{datum.shape.value} is node (potential) data, not cell data")
     return field_from_function(grid, lambda x: canonical_eval(datum, j, x))
 
 

@@ -14,11 +14,12 @@ failure, 4 verification ran and reported failing checks.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -38,19 +39,6 @@ DEFAULT_CONFIG: dict = {
     "flux_left": {"kind": "quadratic", "rmax": 1.0, "hmax": 0.25},
     "flux_right": {"kind": "quadratic", "rmax": 1.0, "hmax": 0.25},
     "limiter": 0.1875,
-}
-
-_CONFIG_KEYS = {
-    "flux_left",
-    "flux_right",
-    "limiter",
-    "domain",
-    "cells",
-    "cfl",
-    "t_end",
-    "snapshots",
-    "datum",
-    "seed",
 }
 
 _CANONICAL_NAMES = {shape.value for shape in DatumShape}
@@ -96,10 +84,13 @@ class ScenarioConfig:
 
 # -- config parsing ----------------------------------------------------------
 
+# The config document's fields are the scenario's own, less the echo of the document.
+_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)} - {"raw"}
+
 
 def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -149,14 +140,14 @@ def _parse_datum(block, a_max: float, path: str = "datum") -> DatumSpec:
         if not isinstance(table, dict):
             raise ConfigError(f"{path}.piecewise_linear: expected an object")
         pts = table.get("points", ())
-        try:
-            points = tuple((float(x), float(u)) for x, u in pts)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.piecewise_linear.points: expected [[x, u], ...]") from exc
+        where = f"{path}.piecewise_linear.points"
+        if not (isinstance(pts, (list, tuple)) and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pts)):
+            raise ConfigError(f"{where}: expected [[x, u], ...]")
+        points = tuple((_as_float(x, where), _as_float(u, where)) for x, u in pts)
         if len(points) < 2:
-            raise ConfigError(f"{path}.piecewise_linear.points: need at least 2 points")
+            raise ConfigError(f"{where}: need at least 2 points")
         if any(a[0] >= b[0] for a, b in zip(points, points[1:])):
-            raise ConfigError(f"{path}.piecewise_linear.points: x must be strictly increasing")
+            raise ConfigError(f"{where}: x must be strictly increasing")
         return DatumSpec("piecewise_linear", points=points)
     raise ConfigError(
         f"{path}: expected a named datum, a piecewise_constant table, or a piecewise_linear table"
@@ -212,6 +203,8 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
     datum = _parse_datum(data["datum"], a_max) if "datum" in data else None
 
     seed = _as_int(data.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed: must be nonnegative, got {seed}")
 
     return ScenarioConfig(
         flux_left=flux_left,
@@ -250,8 +243,6 @@ def realize_cell_datum(cfg: ScenarioConfig, grid: cl.Grid) -> cl.CellField:
     if datum.kind == "riemann":
         return cl.riemann_field(grid, *datum.riemann)
     if datum.kind == "canonical":
-        if datum.canonical.shape in (DatumShape.PHI_HAT, DatumShape.PHI_CHECK):
-            raise ConfigError(f"datum: {datum.canonical.shape.value} is node (potential) data, not cell data")
         return cl.canonical_field(grid, cfg.model, datum.canonical)
     if datum.kind == "piecewise_constant":
         centers = grid.cell_centers()
@@ -265,8 +256,6 @@ def realize_node_datum(cfg: ScenarioConfig, grid: cl.Grid) -> hj.NodeField:
     if datum is None:
         raise ConfigError("datum: field required for a potential solve")
     if datum.kind == "canonical":
-        if datum.canonical.shape in (DatumShape.PSI_HAT, DatumShape.PSI_CHECK):
-            raise ConfigError(f"datum: {datum.canonical.shape.value} is cell (density) data, not node data")
         return hj.canonical_node_field(grid, cfg.model, datum.canonical)
     if datum.kind == "piecewise_linear":
         px = np.array([p[0] for p in datum.points])
@@ -298,15 +287,10 @@ def _grid_block(cfg: ScenarioConfig, grid: cl.Grid) -> dict:
     }
 
 
-def _steps_block(cfg: ScenarioConfig, grid: cl.Grid) -> list[dict]:
-    legs = cl.plan_march(cfg.model, grid.dx, cfg.t_end, cfg.cfl, cfg.snapshots or None)
-    return [leg._asdict() for leg in legs]
-
-
-def _write_manifest(out_dir: Path, payload: dict) -> Path:
-    path = out_dir / "manifest.json"
-    formats.write_manifest(path, payload)
-    return path
+def _write_manifest(out_dir: Path, cfg: ScenarioConfig, subcommand: str, **fields) -> None:
+    formats.write_manifest(
+        out_dir / "manifest.json", {"subcommand": subcommand, "seed": cfg.seed, "config": cfg.raw, **fields}
+    )
 
 
 def _write_xy_csv(path: Path, header: tuple[str, str], xs: np.ndarray, ys: np.ndarray) -> None:
@@ -344,77 +328,48 @@ def _cmd_riemann(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
     xi = grid.node_coords()
     profile = riemann_profile(model, pair[0], pair[1], xi)
 
-    (out_dir / "riemann.json").write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+    formats.write_manifest(out_dir / "riemann.json", header)
     _write_xy_csv(out_dir / "riemann_profile.csv", ("xi", "rho"), xi, profile)
     _write_manifest(
         out_dir,
-        {
-            "subcommand": "riemann",
-            "seed": cfg.seed,
-            "config": cfg.raw,
-            "grid": _grid_block(cfg, grid),
-            "files": {"header": "riemann.json", "profile": "riemann_profile.csv"},
-            "header": header,
-        },
+        cfg,
+        "riemann",
+        grid=_grid_block(cfg, grid),
+        files={"header": "riemann.json", "profile": "riemann_profile.csv"},
+        header=header,
     )
     print(json.dumps(header, sort_keys=True))
     return 0
 
 
-def _cmd_solve_cl(cfg: ScenarioConfig, out_dir: Path) -> int:
-    grid = cfg.build_grid()
-    model = cfg.model
-    rho0 = realize_cell_datum(cfg, grid)
-    states = cl.solve(rho0, model, cfg.t_end, cfl=cfg.cfl, snapshot_times=cfg.snapshots or None)
+def _cmd_solve(cfg: ScenarioConfig, out_dir: Path, scheme: str) -> int:
+    # Built per call, not at import, so that a caller who swaps cl.solve or
+    # hj.hj_direct_solve on its module (a tracer, a test double) is seen.
+    realize, march, write, noun, per_state = {
+        "cl": (realize_cell_datum, cl.solve, formats.write_cell_csv, "density",
+               {"mass": cl.mass, "traces": lambda s: list(cl.trace_estimate(s))}),
+        "hj": (realize_node_datum, hj.hj_direct_solve, formats.write_node_csv, "potential",
+               {"value_at_zero": hj.NodeField.value_at_zero}),
+    }[scheme]
+    grid, times = cfg.build_grid(), cfg.snapshots or None
+    states = march(realize(cfg, grid), cfg.model, cfg.t_end, cfl=cfg.cfl, snapshot_times=times)
 
     files = {}
     for k, state in enumerate(states):
-        name = f"cl_snapshot_{k:03d}.csv"
-        formats.write_cell_csv(out_dir / name, state)
+        name = f"{scheme}_snapshot_{k:03d}.csv"
+        write(out_dir / name, state)
         files[name] = {"time": state.time}
     _write_manifest(
         out_dir,
-        {
-            "subcommand": "solve-cl",
-            "seed": cfg.seed,
-            "config": cfg.raw,
-            "grid": _grid_block(cfg, grid),
-            "files": files,
-            "snapshots": [s.time for s in states],
-            "mass": [cl.mass(s) for s in states],
-            "traces": [list(cl.trace_estimate(s)) for s in states],
-            "steps": _steps_block(cfg, grid),
-        },
+        cfg,
+        f"solve-{scheme}",
+        grid=_grid_block(cfg, grid),
+        files=files,
+        snapshots=[s.time for s in states],
+        steps=[leg._asdict() for leg in cl.plan_march(cfg.model, grid.dx, cfg.t_end, cfg.cfl, times)],
+        **{key: [value(s) for s in states] for key, value in per_state.items()},
     )
-    print(f"wrote {len(states)} density snapshot(s) to {out_dir}")
-    return 0
-
-
-def _cmd_solve_hj(cfg: ScenarioConfig, out_dir: Path) -> int:
-    grid = cfg.build_grid()
-    model = cfg.model
-    u0 = realize_node_datum(cfg, grid)
-    states = hj.hj_direct_solve(u0, model, cfg.t_end, cfl=cfg.cfl, snapshot_times=cfg.snapshots or None)
-
-    files = {}
-    for k, state in enumerate(states):
-        name = f"hj_snapshot_{k:03d}.csv"
-        formats.write_node_csv(out_dir / name, state)
-        files[name] = {"time": state.time}
-    _write_manifest(
-        out_dir,
-        {
-            "subcommand": "solve-hj",
-            "seed": cfg.seed,
-            "config": cfg.raw,
-            "grid": _grid_block(cfg, grid),
-            "files": files,
-            "snapshots": [s.time for s in states],
-            "value_at_zero": [s.value_at_zero() for s in states],
-            "steps": _steps_block(cfg, grid),
-        },
-    )
-    print(f"wrote {len(states)} potential snapshot(s) to {out_dir}")
+    print(f"wrote {len(states)} {noun} snapshot(s) to {out_dir}")
     return 0
 
 
@@ -444,17 +399,14 @@ def _cmd_exact_hj(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
     _write_xy_csv(out_dir / name, ("x", "u"), xs, values)
     _write_manifest(
         out_dir,
-        {
-            "subcommand": "exact-hj",
-            "seed": cfg.seed,
-            "config": cfg.raw,
-            "grid": _grid_block(cfg, grid),
-            "files": {name: {"time": t}},
-            "datum": which,
-            "level": level,
-            "time": t,
-            "value_at_zero": float(values[grid.n_left]),
-        },
+        cfg,
+        "exact-hj",
+        grid=_grid_block(cfg, grid),
+        files={name: {"time": t}},
+        datum=which,
+        level=level,
+        time=t,
+        value_at_zero=float(values[grid.n_left]),
     )
     print(f"u({t!r}, 0) = {float(values[grid.n_left])!r}")
     return 0
@@ -465,25 +417,30 @@ def _cmd_identify(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
     handle = verifier.SemigroupHandle(scheme=method, model=cfg.model, dx=cfg.dx, domain=cfg.domain, cfl=cfg.cfl)
     identify = verifier.identify_limiter_hj if method == "hj" else verifier.identify_limiter_cl
     estimate = identify(handle)
-    _write_manifest(
-        out_dir,
-        {
-            "subcommand": "identify-limiter",
-            "seed": cfg.seed,
-            "config": cfg.raw,
-            "method": method,
-            "estimate": estimate,
-            "files": {},
-        },
-    )
+    _write_manifest(out_dir, cfg, "identify-limiter", method=method, estimate=estimate, files={})
     print(repr(float(estimate)))
     return 0
 
 
+# verify's counts: (flag, run_battery parameter, least value that keeps its check from being vacuous, help).
+# A germ scan of 2 states per side already holds both 0 and rmax.
+_VERIFY_COUNTS = (
+    ("--l1-trials", "l1_trials", 1, "random pairs for the contraction check"),
+    ("--linf-trials", "linf_trials", 1, "random pairs for the sup-norm check"),
+    ("--scan-grid", "scan_grid_n", 2, "states per side in the germ scan"),
+)
+
+
 def _cmd_verify(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
-    timeout = verifier.EXTERNAL_TIMEOUT_S if opts.get("external_timeout") is None else opts["external_timeout"]
+    counts = {}
+    for flag, param, least, _ in _VERIFY_COUNTS:
+        if param in opts:
+            if opts[param] < least:
+                raise ConfigError(f"{flag}: must be at least {least}, got {opts[param]}")
+            counts[param] = opts[param]
+    timeout = opts.get("external_timeout", verifier.EXTERNAL_TIMEOUT_S)
     if not (0.0 < timeout < math.inf):
-        raise ConfigError(f"external-timeout: must be positive seconds, got {timeout}")
+        raise ConfigError(f"--external-timeout: must be positive seconds, got {timeout}")
     cl_handle, hj_handle = (
         verifier.SemigroupHandle(
             scheme, cfg.model, cfg.dx, cfg.domain, cfg.cfl, tuple(opts[f"external_{scheme}"]), timeout
@@ -498,25 +455,12 @@ def _cmd_verify(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
         domain=cfg.domain,
         cfl=cfg.cfl,
         seed=cfg.seed,
-        l1_trials=opts.get("l1_trials") or 100,
-        linf_trials=opts.get("linf_trials") or 20,
-        scan_grid_n=opts.get("scan_grid") or 21,
         cl_handle=cl_handle,
         hj_handle=hj_handle,
+        **counts,
     )
-    (out_dir / "verify_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    _write_manifest(
-        out_dir,
-        {
-            "subcommand": "verify",
-            "seed": cfg.seed,
-            "config": cfg.raw,
-            "files": {"report": "verify_report.json"},
-            "all_passed": report.all_passed,
-        },
-    )
+    formats.write_manifest(out_dir / "verify_report.json", report.to_dict())
+    _write_manifest(out_dir, cfg, "verify", files={"report": "verify_report.json"}, all_passed=report.all_passed)
     for line in report.summary_lines():
         print(line)
     return 0 if report.all_passed else 4
@@ -528,10 +472,8 @@ def run(subcommand: str, cfg: ScenarioConfig, output_dir: Path, options: dict | 
     output_dir.mkdir(parents=True, exist_ok=True)
     if subcommand == "riemann":
         return _cmd_riemann(cfg, output_dir, opts)
-    if subcommand == "solve-cl":
-        return _cmd_solve_cl(cfg, output_dir)
-    if subcommand == "solve-hj":
-        return _cmd_solve_hj(cfg, output_dir)
+    if subcommand in ("solve-cl", "solve-hj"):
+        return _cmd_solve(cfg, output_dir, subcommand.removeprefix("solve-"))
     if subcommand == "exact-hj":
         return _cmd_exact_hj(cfg, output_dir, opts)
     if subcommand == "identify-limiter":
@@ -561,11 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", type=float, default=None, help="left density (overrides config datum)")
     p.add_argument("--right", type=float, default=None, help="right density (overrides config datum)")
 
-    p = sub.add_parser("solve-cl", help="evolve a density datum with the finite-volume scheme")
-    add_common(p)
-
-    p = sub.add_parser("solve-hj", help="evolve a potential datum with the node scheme")
-    add_common(p)
+    for scheme, what in (("cl", "density datum with the finite-volume"), ("hj", "potential datum with the node")):
+        add_common(sub.add_parser(f"solve-{scheme}", help=f"evolve a {what} scheme"))
 
     p = sub.add_parser("exact-hj", help="sample a closed-form junction solution")
     add_common(p)
@@ -585,28 +524,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the semi-group property battery")
     add_common(p, config_required=False)
+    for scheme, what, protocol in (
+        ("cl", "density", "invoked as CMD state.csv t out.csv"),
+        ("hj", "potential", "same protocol, node CSV"),
+    ):
+        p.add_argument(
+            f"--external-{scheme}", nargs="+", default=None, metavar="CMD",
+            help=f"external {what} semi-group command ({protocol})",
+        )
     p.add_argument(
-        "--external-cl",
-        nargs="+",
-        default=None,
-        metavar="CMD",
-        help="external density semi-group command (invoked as CMD state.csv t out.csv)",
-    )
-    p.add_argument(
-        "--external-hj",
-        nargs="+",
-        default=None,
-        metavar="CMD",
-        help="external potential semi-group command (same protocol, node CSV)",
-    )
-    p.add_argument(
-        "--external-timeout", type=float, default=None, metavar="SECONDS",
+        "--external-timeout", type=float, default=argparse.SUPPRESS, metavar="SECONDS",
         help="seconds one external call may run before it is a numerical failure"
         f" (default {verifier.EXTERNAL_TIMEOUT_S:g})",
     )
-    p.add_argument("--l1-trials", type=int, default=None, help="random pairs for the contraction check (default 100)")
-    p.add_argument("--linf-trials", type=int, default=None, help="random pairs for the sup-norm check (default 20)")
-    p.add_argument("--scan-grid", type=int, default=None, help="states per side in the germ scan (default 21)")
+    # A count the user does not give stays out of the options: run_battery's signature holds the defaults.
+    defaults = inspect.signature(verifier.run_battery).parameters
+    for flag, param, least, what in _VERIFY_COUNTS:
+        p.add_argument(
+            flag, dest=param, type=int, default=argparse.SUPPRESS, metavar="N",
+            help=f"{what}, at least {least} (default {defaults[param].default})",
+        )
     return parser
 
 

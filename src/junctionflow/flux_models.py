@@ -292,6 +292,8 @@ class PiecewiseLinearFlux(ConcaveFlux):
             raise DomainError("piecewise linear flux needs at least 3 points")
         px = np.array([x for x, _ in pts])
         hy = np.array([h for _, h in pts])
+        if not (np.isfinite(px).all() and np.isfinite(hy).all()):
+            raise DomainError(f"breakpoints must be finite, got {pts}")
         if px[0] != 0.0 or hy[0] != 0.0:
             raise DomainError("first breakpoint must be (0, 0)")
         if hy[-1] != 0.0 or px[-1] <= 0.0:

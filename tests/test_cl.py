@@ -275,6 +275,14 @@ def test_field_from_function(sym_junction):
     np.testing.assert_allclose(state.values, 0.5 + 0.3 * np.sin(np.pi * xs), atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [DatumShape.PHI_HAT, DatumShape.PHI_CHECK])
+def test_canonical_field_rejects_node_data(sym_junction, shape):
+    """Wedges are potentials: sampled at cell centers they would pass for densities."""
+    g = Grid.from_domain(-1.0, 1.0, 8)
+    with pytest.raises(DomainError, match="node"):
+        canonical_field(g, sym_junction, CanonicalDatum(shape, 0.1))
+
+
 # -- semigroup structure ------------------------------------------------------
 
 

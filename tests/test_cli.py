@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from junctionflow import GridMismatchError, SemigroupHandle, read_cell_csv, read_node_csv
+from junctionflow import GridMismatchError, SemigroupHandle, cl_solver, hj_solver, read_cell_csv, read_node_csv
 from junctionflow.cli import (
     ConfigError,
     main,
@@ -88,6 +88,15 @@ def test_parse_config_amax_keyword():
         ({"t_end": math.nan}, "t_end"),
         ({"t_end": math.inf}, "t_end"),
         ({"snapshots": [math.nan]}, "snapshots"),
+        ({"domain": [-2.0, math.inf]}, "domain"),
+        ({"domain": [-math.inf, 2.0]}, "domain"),
+        ({"t_end": 10**400}, "t_end"),
+        ({"datum": {"name": "riemann", "left": math.inf, "right": 0.5}}, "datum"),
+        ({"datum": {"piecewise_constant": {"breaks": [0.0], "values": [0.1, math.nan]}}}, "datum"),
+        ({"datum": {"piecewise_linear": {"points": [[-2.0, 0.0], [0.0, math.inf]]}}}, "datum"),
+        ({"datum": {"piecewise_linear": {"points": [[-2.0, "0"], [0.0, 1.0]]}}}, "datum"),
+        ({"seed": -1}, "seed"),
+        ({"flux_right": {"kind": "piecewise_linear", "points": [[0, 0], [0.5, math.inf], [1, 0]]}}, "flux_right"),
     ],
 )
 def test_parse_config_rejects_bad_fields(patch, fragment):
@@ -215,6 +224,23 @@ def test_manifest_steps_frozen(tmp_path, subcommand, scheme, datum):
     cfg = parse_config_dict(json.loads(path.read_text()))
     handle = SemigroupHandle(scheme, cfg.model, cfg.dx, cfg.domain, cfg.cfl)
     assert handle.count_steps(cfg.snapshots) == sum(leg["n_steps"] for leg in FROZEN_STEPS) == 7
+
+
+@pytest.mark.parametrize(
+    "subcommand, module, name, datum",
+    [
+        ("solve-cl", cl_solver, "solve", {"name": "riemann", "left": 0.5, "right": 0.5}),
+        ("solve-hj", hj_solver, "hj_direct_solve", {"name": "phi_hat", "level": 0.1875}),
+    ],
+)
+def test_solve_looks_its_march_up_on_the_solver_module(tmp_path, monkeypatch, subcommand, module, name, datum):
+    """A wrapper installed on the module after import, as the benchmark's tracer does, sees the solve."""
+    calls = []
+    march = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(name) or march(*args, **kwargs))
+    path = write_config(tmp_path, datum=datum)
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [name]
 
 
 @pytest.mark.parametrize(
@@ -477,12 +503,24 @@ def test_verify_hanging_external_times_out(tmp_path, capsys):
     assert "timed out after 1 s" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "inf", "nan"])
-def test_verify_rejects_bad_external_timeout(tmp_path, capsys, value):
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        *(pytest.param("--external-timeout", value, id=value) for value in ("0", "-3", "inf", "nan")),
+        ("--l1-trials", "-3"),
+        ("--l1-trials", "0"),
+        ("--linf-trials", "0"),
+        ("--scan-grid", "1"),
+        ("--scan-grid", "0"),
+        ("--scan-grid", "-3"),
+    ],
+)
+def test_verify_rejects_bad_external_timeout(tmp_path, capsys, flag, value):
+    """A timeout that is not positive seconds, or a count that leaves a check vacuous, is named (exit 2)."""
     cfg = write_config(tmp_path, cells=64, datum=None)
-    rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out"), "--external-timeout", value])
+    rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out"), flag, value])
     assert rc == 2
-    assert "external-timeout" in capsys.readouterr().err
+    assert f"{flag}: " in capsys.readouterr().err
 
 
 def test_verify_unfaithful_external_fails(tmp_path, capsys):
@@ -496,6 +534,45 @@ def test_verify_unfaithful_external_fails(tmp_path, capsys):
     )
     assert rc == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+# -- manifests -----------------------------------------------------------------------
+
+# Each subcommand's manifest keys, frozen from the commit before the solve commands merged.
+MANIFEST_KEYS = {
+    "riemann": {"config", "files", "grid", "header", "seed", "subcommand"},
+    "solve-cl": {"config", "files", "grid", "mass", "seed", "snapshots", "steps", "subcommand", "traces"},
+    "solve-hj": {"config", "files", "grid", "seed", "snapshots", "steps", "subcommand", "value_at_zero"},
+    "exact-hj": {"config", "datum", "files", "grid", "level", "seed", "subcommand", "time", "value_at_zero"},
+    "identify-limiter": {"config", "estimate", "files", "method", "seed", "subcommand"},
+    "verify": {"all_passed", "config", "files", "seed", "subcommand"},
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand, options, datum",
+    [
+        ("riemann", [], {"name": "riemann", "left": 0.5, "right": 0.5}),
+        ("solve-cl", [], {"name": "riemann", "left": 0.5, "right": 0.5}),
+        ("solve-hj", [], {"name": "phi_hat", "level": 0.1875}),
+        ("exact-hj", ["--datum", "phi0_hat"], None),
+        ("identify-limiter", ["--method", "hj"], None),
+        ("verify", ["--l1-trials", "1", "--linf-trials", "1", "--scan-grid", "2"], None),
+    ],
+)
+def test_manifest_header_keys_and_json_format(tmp_path, capsys, subcommand, options, datum):
+    path = write_config(tmp_path, cells=64, datum=datum, seed=7)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out), *options]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS[subcommand]
+    assert manifest["subcommand"] == subcommand
+    assert manifest["seed"] == 7
+    assert manifest["config"] == json.loads(path.read_text())
+    for name in ("manifest.json", "riemann.json", "verify_report.json"):
+        if (out / name).exists():
+            text = (out / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 # -- process-level behavior ----------------------------------------------------------

@@ -125,6 +125,10 @@ def test_piecewise_linear_rejects_bad_breakpoints():
     # Equal chord slopes violate strict concavity.
     with pytest.raises(DomainError):
         PiecewiseLinearFlux(points=((0.0, 0.0), (0.25, 0.1), (0.5, 0.2), (1.0, 0.0)))
+    # Non-finite breakpoints pass every comparison above.
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            PiecewiseLinearFlux(points=((0.0, 0.0), (0.5, bad), (1.0, 0.0)))
 
 
 def test_flux_from_config_paths():
