@@ -30,7 +30,7 @@ from . import formats
 from . import hj_solver as hj
 from . import verifier
 from .errors import ConfigError, DomainError, GridMismatchError, LevelError, StepError
-from .flux_models import CanonicalDatum, ConcaveFlux, DatumShape, flux_from_config
+from .flux_models import CanonicalDatum, ConcaveFlux, DatumShape, config_float, flux_from_config
 from .junction import JunctionModel, germ_contains, riemann_profile, riemann_traces
 
 OUTPUT_DIR_ENV = "JUNCTIONFLOW_OUT"
@@ -88,12 +88,6 @@ class ScenarioConfig:
 _CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)} - {"raw"}
 
 
-def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
-
-
 def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
@@ -106,14 +100,14 @@ def _parse_datum(block, a_max: float, path: str = "datum") -> DatumSpec:
     if "name" in block:
         name = block["name"]
         if name == "riemann":
-            left = _as_float(block.get("left"), f"{path}.left")
-            right = _as_float(block.get("right"), f"{path}.right")
+            left = config_float(block.get("left"), f"{path}.left")
+            right = config_float(block.get("right"), f"{path}.right")
             return DatumSpec("riemann", riemann=(left, right))
         if name in _CANONICAL_NAMES:
             level = block.get("level")
             if level == "amax":
                 level = a_max
-            level = _as_float(level, f"{path}.level")
+            level = config_float(level, f"{path}.level")
             try:
                 return DatumSpec("canonical", canonical=CanonicalDatum(shape=name, level=level))
             except ValueError as exc:
@@ -125,8 +119,8 @@ def _parse_datum(block, a_max: float, path: str = "datum") -> DatumSpec:
         table = block["piecewise_constant"]
         if not isinstance(table, dict):
             raise ConfigError(f"{path}.piecewise_constant: expected an object")
-        breaks = tuple(_as_float(x, f"{path}.piecewise_constant.breaks") for x in table.get("breaks", ()))
-        values = tuple(_as_float(v, f"{path}.piecewise_constant.values") for v in table.get("values", ()))
+        breaks = tuple(config_float(x, f"{path}.piecewise_constant.breaks") for x in table.get("breaks", ()))
+        values = tuple(config_float(v, f"{path}.piecewise_constant.values") for v in table.get("values", ()))
         if len(values) != len(breaks) + 1:
             raise ConfigError(
                 f"{path}.piecewise_constant: need len(values) == len(breaks) + 1,"
@@ -143,7 +137,7 @@ def _parse_datum(block, a_max: float, path: str = "datum") -> DatumSpec:
         where = f"{path}.piecewise_linear.points"
         if not (isinstance(pts, (list, tuple)) and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pts)):
             raise ConfigError(f"{where}: expected [[x, u], ...]")
-        points = tuple((_as_float(x, where), _as_float(u, where)) for x, u in pts)
+        points = tuple((config_float(x, where), config_float(u, where)) for x, u in pts)
         if len(points) < 2:
             raise ConfigError(f"{where}: need at least 2 points")
         if any(a[0] >= b[0] for a, b in zip(points, points[1:])):
@@ -172,7 +166,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
     if limiter == "amax":
         limiter = a_max
     else:
-        limiter = _as_float(limiter, "limiter")
+        limiter = config_float(limiter, "limiter")
     if not (0.0 <= limiter <= a_max * (1.0 + 1e-12) + 1e-9):
         raise ConfigError(f"limiter: {limiter} outside [0, {a_max}]")
     limiter = min(limiter, a_max)
@@ -180,8 +174,8 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
     domain = data.get("domain", (-2.0, 2.0))
     if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
         raise ConfigError(f"domain: expected [x_min, x_max], got {domain!r}")
-    x_min = _as_float(domain[0], "domain[0]")
-    x_max = _as_float(domain[1], "domain[1]")
+    x_min = config_float(domain[0], "domain[0]")
+    x_max = config_float(domain[1], "domain[1]")
     if not (x_min < 0.0 < x_max):
         raise ConfigError(f"domain: needs x_min < 0 < x_max, got [{x_min}, {x_max}]")
 
@@ -189,12 +183,12 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
     if cells < 8:
         raise ConfigError(f"cells: need at least 8, got {cells}")
 
-    cfl = _as_float(data.get("cfl", 0.8), "cfl")
-    t_end = _as_float(data.get("t_end", 1.0), "t_end")
+    cfl = config_float(data.get("cfl", 0.8), "cfl")
+    t_end = config_float(data.get("t_end", 1.0), "t_end")
     snaps_raw = data.get("snapshots", ())
     if not isinstance(snaps_raw, (list, tuple)):
         raise ConfigError(f"snapshots: expected a list of times, got {snaps_raw!r}")
-    snapshots = tuple(_as_float(t, f"snapshots[{i}]") for i, t in enumerate(snaps_raw))
+    snapshots = tuple(config_float(t, f"snapshots[{i}]") for i, t in enumerate(snaps_raw))
     try:
         cl.check_march(cfl, t_end, snapshots or None)
     except StepError as exc:

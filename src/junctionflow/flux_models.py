@@ -42,12 +42,13 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .errors import DomainError, LevelError
+from .errors import ConfigError, DomainError, LevelError
 
 if TYPE_CHECKING:
     from .junction import JunctionModel
@@ -355,25 +356,35 @@ class PiecewiseLinearFlux(ConcaveFlux):
         return np.stack(np.broadcast_arrays(*self._px, lo, hi, v)[:-1])
 
 
+def config_float(value, path: str) -> float:
+    """A number of a config document as a float: an int or a float, not a bool, and finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def flux_from_config(block: dict, path: str = "flux") -> ConcaveFlux:
     """Build a flux from its config dictionary.
 
     Shapes: ``{"kind": "quadratic", "rmax": R, "hmax": h}`` or
-    ``{"kind": "piecewise_linear", "points": [[x, H], ...]}``.
+    ``{"kind": "piecewise_linear", "points": [[x, H], ...]}``; every
+    parameter is a finite JSON number (``config_float``).
     """
-    from .errors import ConfigError
-
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: expected an object, got {type(block).__name__}")
     kind = block.get("kind")
     try:
         if kind == "quadratic":
-            return QuadraticFlux(rmax=float(block["rmax"]), hmax=float(block["hmax"]))
+            rmax, hmax = (config_float(block[key], f"{path}.{key}") for key in ("rmax", "hmax"))
+            return QuadraticFlux(rmax=rmax, hmax=hmax)
         if kind == "piecewise_linear":
-            pts = tuple((float(x), float(h)) for x, h in block["points"])
+            where = f"{path}.points"
+            pts = tuple((config_float(x, where), config_float(h, where)) for x, h in block["points"])
             return PiecewiseLinearFlux(points=pts)
     except KeyError as exc:
         raise ConfigError(f"{path}.{exc.args[0]}: missing field") from exc
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.kind: expected 'quadratic' or 'piecewise_linear', got {kind!r}")

@@ -21,6 +21,8 @@ Three independent ways to produce u(t) live here:
   slopes, so it steps u -= dt * F(diff(u) / dx) with the density
   scheme's ``FluxKernel``; only its two outer nodes differ, carrying
   H of their one slope rather than a copy-cell Godunov flux.
+  ``hj_direct_solve_batch`` marches many potentials of one grid as the
+  rows of one array, bit for bit their single runs.
 
 The direct scheme's slope dynamics coincide with the Godunov update, so
 the two discrete routes agree up to accumulated round-off.
@@ -43,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cl_solver import CellField, FluxKernel, Grid, plan_march
+from .cl_solver import CellField, FluxKernel, Grid, Leg, batch_start, plan_march
 from .errors import DomainError, GridMismatchError
 from .flux_models import ArrayLike, CanonicalDatum, DatumShape, canonical_eval, first_entry, float_or_array
 from .junction import JunctionModel
@@ -227,16 +229,47 @@ def hj_direct_solve(
     grid = u0.grid
     legs = plan_march(j, grid.dx, t_end, cfl, snapshot_times, t0=u0.time)
     validate_lip(u0, j)
-    kernel = FluxKernel(j, grid)
     u = u0.values.copy()
-    slopes = np.empty(grid.n_cells)
-    out: list[NodeField] = []
+    return [NodeField(grid=grid, values=u.copy(), time=leg.t_to) for leg in _march_nodes(j, grid, u, legs)]
+
+
+def hj_direct_solve_batch(
+    states: Sequence[NodeField],
+    j: JunctionModel,
+    t_end: float,
+    cfl: float = 0.8,
+    snapshot_times: Sequence[float] | None = None,
+) -> list[list[NodeField]]:
+    """``hj_direct_solve`` for each of ``states`` (one grid, one time), marched as one (batch, nodes) array.
+
+    Returns one snapshot list per state, bit for bit its
+    ``hj_direct_solve`` run.  Every state is validated on entry.  A
+    batch of one is an ``hj_direct_solve`` call, as in ``solve_batch``.
+    """
+    grid, t0 = batch_start(states)
+    if len(states) == 1:
+        return [hj_direct_solve(states[0], j, t_end, cfl, snapshot_times)]
+    legs = plan_march(j, grid.dx, t_end, cfl, snapshot_times, t0=t0)
+    for u0 in states:
+        validate_lip(u0, j)
+    u = np.stack([s.values for s in states])
+    out: list[list[NodeField]] = [[] for _ in states]
+    for leg in _march_nodes(j, grid, u, legs):
+        for row, snaps in enumerate(out):
+            snaps.append(NodeField(grid=grid, values=u[row].copy(), time=leg.t_to))
+    return out
+
+
+def _march_nodes(j: JunctionModel, grid: Grid, u: np.ndarray, legs: Sequence[Leg]):
+    """March potentials ``u`` (one state, or one a row) in place; yield each leg at its end."""
+    kernel = FluxKernel(j, grid, u.shape[:-1])
+    slopes = np.empty((*u.shape[:-1], grid.n_cells))
+    right_of, left_of = np.s_[..., 1:], np.s_[..., :-1]
     for leg in legs:
         for _ in range(leg.n_steps):
-            np.subtract(u[1:], u[:-1], out=slopes)
+            np.subtract(u[right_of], u[left_of], out=slopes)
             slopes /= grid.dx
             h = kernel(slopes, plain_edges=True)
             h *= leg.dt
             u -= h
-        out.append(NodeField(grid=grid, values=u.copy(), time=leg.t_to))
-    return out
+        yield leg

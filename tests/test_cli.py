@@ -97,6 +97,10 @@ def test_parse_config_amax_keyword():
         ({"datum": {"piecewise_linear": {"points": [[-2.0, "0"], [0.0, 1.0]]}}}, "datum"),
         ({"seed": -1}, "seed"),
         ({"flux_right": {"kind": "piecewise_linear", "points": [[0, 0], [0.5, math.inf], [1, 0]]}}, "flux_right"),
+        ({"flux_left": {"kind": "quadratic", "rmax": True, "hmax": "0.25"}}, "flux_left.rmax"),
+        ({"flux_left": {"kind": "quadratic", "rmax": 1.0, "hmax": "0.25"}}, "flux_left.hmax"),
+        ({"flux_right": {"kind": "piecewise_linear", "points": [[0, 0], ["0.5", True], [1, 0]]}}, "flux_right.points"),
+        ({"flux_right": {"kind": "piecewise_linear", "points": [[0, 0], [0.5, True], [1, 0]]}}, "flux_right.points"),
     ],
 )
 def test_parse_config_rejects_bad_fields(patch, fragment):

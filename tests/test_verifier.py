@@ -140,7 +140,7 @@ def test_external_handle_times_out(tmp_path, sym_junction):
     script.write_text("import time; time.sleep(60)\n")
     external = SemigroupHandle("cl", sym_junction, COARSE_DX, command=(sys.executable, str(script)), timeout=0.5)
     with pytest.raises(StepError, match="timed out after 0.5 s"):
-        external.evolve_cl(riemann_field(external.grid, 0.5, 0.5), [0.1])
+        external.evolve_cl([riemann_field(external.grid, 0.5, 0.5)], [0.1])
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="external timeout"):
             SemigroupHandle("cl", sym_junction, command=("true",), timeout=bad)
@@ -242,8 +242,8 @@ def test_external_handle_matches_internal_bitwise(tmp_path, sym_junction):
         command=(sys.executable, str(script)),
     )
     state = riemann_field(grid, 0.6, 0.3)
-    ours = internal.evolve_cl(state, [0.25])[-1]
-    theirs = external.evolve_cl(state, [0.25])[-1]
+    ours = internal.evolve_cl([state], [0.25])[0][-1]
+    theirs = external.evolve_cl([state], [0.25])[0][-1]
     np.testing.assert_array_equal(ours.values, theirs.values)
     assert theirs.time == 0.25
 
@@ -278,7 +278,7 @@ def test_external_handle_surfaces_failures(tmp_path, sym_junction):
     grid = external.grid
     state = riemann_field(grid, 0.5, 0.5)
     with pytest.raises(StepError, match="no such scheme"):
-        external.evolve_cl(state, [0.1])
+        external.evolve_cl([state], [0.1])
 
 
 def test_unfaithful_external_fails_checks(tmp_path, sym_junction):
