@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 import sys
 import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -40,6 +43,7 @@ from junctionflow.verifier import (
     check_riemann_admissibility,
     check_scale_invariance_cl,
     check_supersolution_floor,
+    usable_cpus,
 )
 
 COARSE_DX = 1.0 / 64.0
@@ -246,6 +250,98 @@ def test_external_handle_matches_internal_bitwise(tmp_path, sym_junction):
     theirs = external.evolve_cl([state], [0.25])[0][-1]
     np.testing.assert_array_equal(ours.values, theirs.values)
     assert theirs.time == 0.25
+
+
+def test_external_batch_matches_internal_bitwise(tmp_path, sym_junction):
+    """Each (state, time) call of a concurrent batch lands in its own snapshot slot."""
+    script = tmp_path / "ext.py"
+    script.write_text(REFERENCE_EXTERNAL)
+    grid = Grid.from_domain(-2.0, 2.0, 128)
+    internal = SemigroupHandle("cl", model=sym_junction, dx=grid.dx)
+    external = SemigroupHandle("cl", model=sym_junction, dx=grid.dx, command=(sys.executable, str(script)))
+    rng = np.random.default_rng(3)
+    states = [riemann_field(grid, 0.6, 0.3), riemann_field(grid, 0.1, 0.9), random_cell_field(grid, sym_junction, rng)]
+    times = [0.1, 0.25]
+    theirs = external.evolve_cl(states, times)
+    assert [len(run) for run in theirs] == [len(times)] * len(states)
+    for k, t in enumerate(times):
+        # the command marches from t = 0 straight to t, so the reference does too
+        for run_ours, run_theirs in zip(internal.evolve_cl(states, [t]), theirs):
+            np.testing.assert_array_equal(run_ours[-1].values, run_theirs[k].values)
+            assert run_theirs[k].time == t
+
+
+# Logs its pid, start and end times to a file of its own in the directory argv[1], sleeps, copies.
+STAMP_EXTERNAL = textwrap.dedent(
+    """
+    import os, shutil, sys, time
+    log, src, t, dst = sys.argv[1:]
+    start = time.time()
+    time.sleep(0.5)
+    shutil.copyfile(src, dst)
+    with open(os.path.join(log, str(os.getpid())), "w") as fh:
+        fh.write(f"{start!r} {time.time()!r}")
+    """
+)
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="one usable CPU runs the calls one at a time")
+def test_external_calls_run_concurrently(tmp_path, sym_junction):
+    script = tmp_path / "stamp.py"
+    script.write_text(STAMP_EXTERNAL)
+    log = tmp_path / "log"
+    log.mkdir()
+    external = SemigroupHandle("cl", sym_junction, COARSE_DX, command=(sys.executable, str(script), str(log)))
+    state = riemann_field(external.grid, 0.5, 0.5)
+    runs = external.evolve_cl([state, state], [0.1])
+    np.testing.assert_array_equal(runs[0][0].values, runs[1][0].values)
+    (start1, end1), (start2, end2) = (map(float, f.read_text().split()) for f in log.iterdir())
+    assert max(start1, start2) < min(end1, end2)
+
+
+# Records its pid in the directory argv[1]; what it does depends on its state's first density and its time.
+FLAKY_EXTERNAL = textwrap.dedent(
+    """
+    import os, shutil, sys, time
+    pids, src, t, dst = sys.argv[1:]
+    open(os.path.join(pids, str(os.getpid())), "w").close()
+    rho = float(open(src).read().splitlines()[1].split(",")[1])
+    if (rho, t) == (0.5, "0.1"):
+        time.sleep(0.5)
+        sys.exit("first failure in (state, time) order")
+    if (rho, t) == (0.5, "0.2"):
+        sys.exit("first failure in wall-clock order")
+    if (rho, t) == (0.25, "0.1"):
+        time.sleep(60)
+    shutil.copyfile(src, dst)
+    """
+)
+
+
+def test_external_batch_failure_reports_first_call_and_leaves_no_child(tmp_path, sym_junction):
+    """A later call that fails sooner is not the one reported; a sleeping sibling is killed, the rest cancelled."""
+    script = tmp_path / "flaky.py"
+    script.write_text(FLAKY_EXTERNAL)
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    timeout = 1.0
+    external = SemigroupHandle(
+        "cl", sym_junction, COARSE_DX, command=(sys.executable, str(script), str(pids)), timeout=timeout
+    )
+    states = [riemann_field(external.grid, rho, rho) for rho in (0.5, 0.25, 0.75, 0.125)]
+    threads = threading.active_count()
+    t0 = time.perf_counter()
+    with pytest.raises(StepError, match=r"exited 1: first failure in \(state, time\) order"):
+        external.evolve_cl(states, [0.1, 0.2])
+    assert time.perf_counter() - t0 < timeout + 1.5
+    assert threading.active_count() == threads
+    started = [int(f.name) for f in pids.iterdir()]
+    assert 1 <= len(started) < 2 * len(states)  # calls still queued at the failure never start
+    if usable_cpus() >= 2:
+        assert len(started) >= 3  # the sleeper ran, and its timeout ended it
+    for pid in started:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 @pytest.mark.parametrize("command", [(), (sys.executable, "-c", "pass")])
