@@ -199,7 +199,7 @@ class SemigroupHandle:
                 for k, t in enumerate(snapshot_times):
                     dst = Path(td) / f"state_out_{i}_{k}.csv"
                     calls.append(([*self.command, str(src), repr(float(t)), str(dst)], dst, float(t)))
-            pool = ThreadPoolExecutor(max_workers=usable_cpus())
+            pool = ThreadPoolExecutor(max_workers=_usable_cpus())
             try:
                 futures = [
                     pool.submit(subprocess.run, argv, capture_output=True, text=True, timeout=self.timeout)
@@ -227,7 +227,7 @@ class SemigroupHandle:
         return [snapshots[i * n : (i + 1) * n] for i in range(len(states))]
 
 
-def usable_cpus() -> int:
+def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform has one."""
     try:
         return len(os.sched_getaffinity(0))
