@@ -69,18 +69,35 @@ from .formats import (
     write_manifest,
     write_node_csv,
 )
-from .verifier import (
-    CheckRecord,
-    GermScanResult,
-    SemigroupHandle,
-    VerificationReport,
-    empirical_germ_scan,
-    identify_limiter_cl,
-    identify_limiter_hj,
-    random_cell_field,
-    random_node_field,
-    run_battery,
+
+# The verifier (and the subprocess machinery of its external handles) loads on
+# first use of one of its names, so a solver process such as an external
+# command does not pay for it at import.
+_VERIFIER_NAMES = (
+    "CheckRecord",
+    "GermScanResult",
+    "SemigroupHandle",
+    "VerificationReport",
+    "empirical_germ_scan",
+    "identify_limiter_cl",
+    "identify_limiter_hj",
+    "random_cell_field",
+    "random_node_field",
+    "run_battery",
 )
+
+
+def __getattr__(name: str):
+    if name in _VERIFIER_NAMES:
+        from . import verifier
+
+        return getattr(verifier, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_VERIFIER_NAMES})
+
 
 __version__ = "0.1.0"
 

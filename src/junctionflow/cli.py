@@ -28,7 +28,6 @@ import numpy as np
 from . import cl_solver as cl
 from . import formats
 from . import hj_solver as hj
-from . import verifier
 from .errors import ConfigError, DomainError, GridMismatchError, LevelError, StepError
 from .flux_models import CanonicalDatum, ConcaveFlux, DatumShape, config_float, flux_from_config
 from .junction import JunctionModel, germ_contains, riemann_profile, riemann_traces
@@ -407,6 +406,8 @@ def _cmd_exact_hj(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
 
 
 def _cmd_identify(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
+    from . import verifier
+
     method = opts["method"]
     handle = verifier.SemigroupHandle(scheme=method, model=cfg.model, dx=cfg.dx, domain=cfg.domain, cfl=cfg.cfl)
     identify = verifier.identify_limiter_hj if method == "hj" else verifier.identify_limiter_cl
@@ -426,6 +427,8 @@ _VERIFY_COUNTS = (
 
 
 def _cmd_verify(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
+    from . import verifier
+
     counts = {}
     for flag, param, least, _ in _VERIFY_COUNTS:
         if param in opts:
@@ -481,6 +484,8 @@ def run(subcommand: str, cfg: ScenarioConfig, output_dir: Path, options: dict | 
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import verifier  # for verify's defaults; imported here so that importing cli does not load it
+
     parser = argparse.ArgumentParser(
         prog="junctionflow",
         description="Solve and verify scalar conservation laws and Hamilton-Jacobi"

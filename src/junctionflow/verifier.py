@@ -115,13 +115,15 @@ class SemigroupHandle:
     sequence of states on one grid at one time and return one snapshot
     list per state.  With an empty ``command`` the handle marches the
     states as the rows of one array with the in-process solver of its
-    scheme; otherwise it shells out to ``command`` once per (state,
-    time), with arguments (input CSV path, time, output CSV path), and
-    reads the result back in the cell or node CSV schema.  The calls of
-    one batch are independent and run concurrently, up to one per usable
-    CPU; a failure is reported for the first failing call in (state,
-    time) order.  A call still running after ``timeout`` seconds is
-    killed (``StepError``).
+    scheme; otherwise it shells out to ``command`` once per distinct
+    (state, time), with arguments (input CSV path, time, output CSV
+    path), and reads the result back in the cell or node CSV schema.
+    The handle remembers each validated answer, so a (state, time) asked
+    again, in the same batch or a later one, starts no call.  The calls
+    of one batch are independent and run concurrently, up to one per
+    usable CPU; a failure is reported for the first failing call in
+    (state, time) order.  A call still running after ``timeout`` seconds
+    is killed (``StepError``).
     """
 
     scheme: str
@@ -131,6 +133,8 @@ class SemigroupHandle:
     cfl: float = 0.8
     command: tuple[str, ...] = ()
     timeout: float = EXTERNAL_TIMEOUT_S
+    # (grid, start time, state bytes, time) -> the command's validated answer
+    _answers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in ("cl", "hj"):
@@ -174,13 +178,33 @@ class SemigroupHandle:
         return out
 
     def _evolve_external(self, states, snapshot_times):
-        """One command call per (state, time), all from the state's own input file.
+        """Snapshots from one command call per distinct (state, time) this handle has not answered yet.
 
-        Inputs are written first, the calls run on a pool of one thread per
-        usable CPU, and the outputs are read back here in (state, time) order,
-        so the first failure in that order is the one reported.  On a failure
-        the calls not yet started are cancelled and the running ones end
-        within their own timeout before the error leaves this method.
+        A semi-group maps one datum and one time to one answer, so each
+        validated answer is remembered, and a (state, time) already asked,
+        in this batch or an earlier one, starts no call.  Each snapshot
+        returned is a copy of the remembered one.
+        """
+        grid = states[0].grid
+        keys = [[(grid, s.time, s.values.tobytes(), float(t)) for t in snapshot_times] for s in states]
+        asks = {}  # key -> index of the first state that asks it, in (state, time) order
+        for i, row in enumerate(keys):
+            for key in row:
+                if key not in self._answers:
+                    asks.setdefault(key, i)
+        if asks:
+            self._ask(states, asks)
+        return [[self._answers[key].copy() for key in row] for row in keys]
+
+    def _ask(self, states, asks):
+        """Run the command once per key of ``asks`` and remember each answer it validates.
+
+        Inputs are written first, once per state, the calls run on a pool of
+        one thread per usable CPU, and the outputs are read back here in
+        (state, time) order, so the first failure in that order is the one
+        reported and no failed call is remembered.  On a failure the calls
+        not yet started are cancelled and the running ones end within their
+        own timeout before the error leaves this method.
         """
         # Imported here: concurrent.futures adds about 6 ms to every command's package import.
         from concurrent.futures import ThreadPoolExecutor
@@ -192,21 +216,19 @@ class SemigroupHandle:
         else:
             write, read = formats.write_node_csv, formats.read_node_csv
         with tempfile.TemporaryDirectory(prefix="junctionflow-ext-") as td:
+            for i in set(asks.values()):
+                write(Path(td) / f"state_in_{i}.csv", states[i])
             calls = []
-            for i, state0 in enumerate(states):
-                src = Path(td) / f"state_in_{i}.csv"
-                write(src, state0)
-                for k, t in enumerate(snapshot_times):
-                    dst = Path(td) / f"state_out_{i}_{k}.csv"
-                    calls.append(([*self.command, str(src), repr(float(t)), str(dst)], dst, float(t)))
+            for k, (key, i) in enumerate(asks.items()):
+                dst = Path(td) / f"state_out_{k}.csv"
+                calls.append(([*self.command, str(Path(td) / f"state_in_{i}.csv"), repr(key[3]), str(dst)], dst, key))
             pool = ThreadPoolExecutor(max_workers=_usable_cpus())
             try:
                 futures = [
                     pool.submit(subprocess.run, argv, capture_output=True, text=True, timeout=self.timeout)
                     for argv, *_ in calls
                 ]
-                snapshots = []
-                for future, (argv, dst, t) in zip(futures, calls):
+                for future, (argv, dst, key) in zip(futures, calls):
                     try:
                         proc = future.result()
                     except subprocess.TimeoutExpired as exc:
@@ -216,15 +238,13 @@ class SemigroupHandle:
                             f"external semi-group {argv[0]} exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
                         )
                     try:
-                        state = read(dst, grid=states[0].grid)
+                        state = read(dst, grid=key[0])
                     except (OSError, ValueError) as exc:
                         raise StepError(f"external semi-group {argv[0]} wrote an unusable state: {exc}") from exc
-                    state.time = t
-                    snapshots.append(state)
+                    state.time = key[3]
+                    self._answers[key] = state
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
-        n = len(snapshot_times)
-        return [snapshots[i * n : (i + 1) * n] for i in range(len(states))]
 
 
 def _usable_cpus() -> int:

@@ -623,3 +623,33 @@ def test_console_script_subprocess(tmp_path):
     assert proc.returncode == 0
     header = json.loads(proc.stdout.strip().splitlines()[-1])
     assert header["in_germ"] is True
+
+
+# Run in a fresh interpreter: the test session itself has long since imported the verifier.
+IMPORT_HYGIENE = """
+import sys
+import junctionflow, junctionflow.cli, junctionflow.formats
+loaded = {"junctionflow.verifier", "subprocess"} & set(sys.modules)
+assert not loaded, f"a solver import loaded {sorted(loaded)}"
+listed = set(dir(junctionflow))
+missing = set(junctionflow.__all__) - listed
+assert not missing, f"dir() misses {sorted(missing)}"
+names = {}
+exec("from junctionflow import *", names)
+from junctionflow import verifier
+for name in junctionflow.__all__:
+    assert getattr(junctionflow, name) is names[name], name
+assert junctionflow.run_battery is verifier.run_battery
+try:
+    junctionflow.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+"""
+
+
+def test_solver_imports_leave_the_verifier_unloaded():
+    """An external command importing the solvers and formats does not pay for the verifier."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

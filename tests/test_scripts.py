@@ -16,8 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
     "script, args",
     [
         ("convergence_study.py", ["--levels", "2", "--coarsest", "50"]),
-        ("germ_scan_demo.py", ["--grid-n", "5", "--dx", "0.05", "--t-end", "0.25"]),
-        ("recover_limiter.py", ["--dx", "0.05"]),
     ],
 )
 def test_script_runs(script, args):

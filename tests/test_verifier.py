@@ -293,9 +293,10 @@ def test_external_calls_run_concurrently(tmp_path, sym_junction):
     log = tmp_path / "log"
     log.mkdir()
     external = SemigroupHandle("cl", sym_junction, COARSE_DX, command=(sys.executable, str(script), str(log)))
-    state = riemann_field(external.grid, 0.5, 0.5)
-    runs = external.evolve_cl([state, state], [0.1])
-    np.testing.assert_array_equal(runs[0][0].values, runs[1][0].values)
+    states = [riemann_field(external.grid, 0.5, 0.5), riemann_field(external.grid, 0.25, 0.75)]
+    runs = external.evolve_cl(states, [0.1])
+    for state, run in zip(states, runs):
+        np.testing.assert_array_equal(run[0].values, state.values)
     (start1, end1), (start2, end2) = (map(float, f.read_text().split()) for f in log.iterdir())
     assert max(start1, start2) < min(end1, end2)
 
@@ -343,6 +344,114 @@ def test_external_batch_failure_reports_first_call_and_leaves_no_child(tmp_path,
     for pid in started:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+# Appends one line "t sha256-of-input" per call to the file argv[1]; exits 1 if argv[2] is
+# "fail", else copies its input.
+LOGGING_EXTERNAL = textwrap.dedent(
+    """
+    import hashlib, shutil, sys
+    log, mode, src, t, dst = sys.argv[1:]
+    with open(src, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    with open(log, "a") as fh:
+        fh.write(f"{t} {digest}\\n")
+    if mode == "fail":
+        sys.exit("asked to fail")
+    shutil.copyfile(src, dst)
+    """
+)
+
+
+def _logging_handle(tmp_path, junction, mode="copy", scheme="cl"):
+    script = tmp_path / "logging.py"
+    script.write_text(LOGGING_EXTERNAL)
+    log = tmp_path / "calls.log"
+    log.touch()
+    return SemigroupHandle(scheme, junction, COARSE_DX, command=(sys.executable, str(script), str(log), mode)), log
+
+
+def _calls(log) -> list[str]:
+    return log.read_text().splitlines()
+
+
+def test_external_answers_are_remembered(tmp_path, sym_junction):
+    """A repeated (state, time), in one batch or across evolves, starts one call; new data or times start new ones."""
+    external, log = _logging_handle(tmp_path, sym_junction)
+    state = riemann_field(external.grid, 0.5, 0.25)
+    runs = external.evolve_cl([state, state.copy()], [0.1])
+    assert len(_calls(log)) == 1
+    assert runs[0][0] is not runs[1][0]
+    for run in runs:
+        np.testing.assert_array_equal(run[0].values, state.values)
+        assert run[0].time == 0.1
+    again = external.evolve_cl([state.copy()], [0.1])
+    assert len(_calls(log)) == 1
+    np.testing.assert_array_equal(again[0][0].values, state.values)
+
+    external.evolve_cl([state], [0.1, 0.2])  # one new time
+    assert len(_calls(log)) == 2
+    nudged = state.copy()
+    nudged.values[3] = np.nextafter(nudged.values[3], 1.0)  # one ulp apart
+    theirs = external.evolve_cl([nudged], [0.1])
+    assert len(_calls(log)) == 3
+    np.testing.assert_array_equal(theirs[0][0].values, nudged.values)
+    assert len(set(_calls(log))) == 3
+
+
+def test_external_answers_are_returned_as_copies(tmp_path, sym_junction):
+    external, log = _logging_handle(tmp_path, sym_junction, scheme="hj")
+    u0 = NodeField(external.grid, 0.25 * external.grid.node_coords())
+    first = external.evolve_hj([u0], [0.1])[0][0]
+    first.values[:] = 99.0
+    first.time = 7.0
+    second = external.evolve_hj([u0], [0.1])[0][0]
+    np.testing.assert_array_equal(second.values, u0.values)
+    assert second.time == 0.1
+    assert len(_calls(log)) == 1
+
+
+def test_failed_external_call_is_asked_again(tmp_path, sym_junction):
+    external, log = _logging_handle(tmp_path, sym_junction, mode="fail")
+    state = riemann_field(external.grid, 0.5, 0.5)
+    for n_calls in (1, 2):
+        with pytest.raises(StepError, match="asked to fail"):
+            external.evolve_cl([state], [0.1])
+        assert len(_calls(log)) == n_calls
+
+
+# The reference node scheme on the coarse test grid; logs like LOGGING_EXTERNAL.
+REFERENCE_HJ_EXTERNAL = textwrap.dedent(
+    """
+    import hashlib, sys
+    from junctionflow import Grid, JunctionModel, QuadraticFlux, hj_direct_solve
+    from junctionflow.formats import read_node_csv, write_node_csv
+
+    log, src, t, dst = sys.argv[1], sys.argv[2], float(sys.argv[3]), sys.argv[4]
+    with open(src, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    with open(log, "a") as fh:
+        fh.write(f"{t!r} {digest}\\n")
+    model = JunctionModel(QuadraticFlux(1.0, 0.25), QuadraticFlux(1.0, 0.25), 0.1875)
+    state = read_node_csv(src, Grid.from_domain(-2.0, 2.0, 256))
+    write_node_csv(dst, hj_direct_solve(state, model, t, snapshot_times=[t])[-1])
+    """
+)
+
+
+def test_battery_asks_external_hj_each_state_and_time_once(tmp_path, sym_junction):
+    """The HJ checks share answers: one call per distinct (state, time) of the whole battery."""
+    script = tmp_path / "ref_hj.py"
+    script.write_text(REFERENCE_HJ_EXTERNAL)
+    log = tmp_path / "calls.log"
+    log.touch()
+    external = SemigroupHandle("hj", sym_junction, COARSE_DX, command=(sys.executable, str(script), str(log)))
+    report = run_battery(
+        sym_junction, dx=COARSE_DX, l1_trials=1, linf_trials=1, scan_grid_n=2, hj_handle=external
+    )
+    assert report.all_passed, report.summary_lines()
+    calls = _calls(log)
+    assert len(set(calls)) == len(calls) == 28
 
 
 @pytest.mark.parametrize("command", [(), (sys.executable, "-c", "pass")])
