@@ -483,9 +483,17 @@ def run(subcommand: str, cfg: ScenarioConfig, output_dir: Path, options: dict | 
 # -- argument parsing --------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from . import verifier  # for verify's defaults; imported here so that importing cli does not load it
+class _VerifyHelpFormatter(argparse.HelpFormatter):
+    """Fills the verifier's defaults into verify's help as it is printed, so that parsing does not load the verifier."""
 
+    def _get_help_string(self, action):
+        from . import verifier
+
+        defaults = {name: p.default for name, p in inspect.signature(verifier.run_battery).parameters.items()}
+        return action.help.format(EXTERNAL_TIMEOUT_S=verifier.EXTERNAL_TIMEOUT_S, **defaults)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="junctionflow",
         description="Solve and verify scalar conservation laws and Hamilton-Jacobi"
@@ -521,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--method", required=True, choices=("hj", "cl"), help="probe semi-group")
 
-    p = sub.add_parser("verify", help="run the semi-group property battery")
+    p = sub.add_parser("verify", help="run the semi-group property battery", formatter_class=_VerifyHelpFormatter)
     add_common(p, config_required=False)
     for scheme, what, protocol in (
         ("cl", "density", "invoked as CMD state.csv t out.csv"),
@@ -534,14 +542,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--external-timeout", type=float, default=argparse.SUPPRESS, metavar="SECONDS",
         help="seconds one external call may run before it is a numerical failure"
-        f" (default {verifier.EXTERNAL_TIMEOUT_S:g})",
+        " (default {EXTERNAL_TIMEOUT_S:g})",
     )
     # A count the user does not give stays out of the options: run_battery's signature holds the defaults.
-    defaults = inspect.signature(verifier.run_battery).parameters
     for flag, param, least, what in _VERIFY_COUNTS:
         p.add_argument(
             flag, dest=param, type=int, default=argparse.SUPPRESS, metavar="N",
-            help=f"{what}, at least {least} (default {defaults[param].default})",
+            help=f"{what}, at least {least} (default {{{param}}})",
         )
     return parser
 

@@ -12,6 +12,7 @@ first offending entry with the message the scalar call gives it.
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -38,11 +39,17 @@ from junctionflow import (
     riemann_profile,
     riemann_traces,
 )
-from junctionflow.junction import _assert_wave_signs
+from junctionflow import cl_solver as cl
+from junctionflow.junction import TracePair, _assert_wave_signs
 from junctionflow.verifier import (
+    CheckRecord,
+    GermScanResult,
+    SemigroupHandle,
     check_germ_dissipativity,
     check_oracle_scale_invariance,
     check_riemann_admissibility,
+    empirical_germ_scan,
+    identify_limiter_cl,
 )
 from strategies import junctions, side_values
 
@@ -219,6 +226,70 @@ def _ref_oracle_scale_invariance(model, n_samples, seed):
     return worst
 
 
+
+def _ref_germ_scan(
+    h: SemigroupHandle,
+    grid_n: int = 21,
+    t_end: float = 0.5,
+    drift_threshold: float = 0.005,
+    germ_tol: float = 0.005,
+    limiter_estimate: float | None = None,
+) -> GermScanResult:
+    """Classify flux-compatible density pairs by evolving their Riemann data.
+
+    A pair is called stationary when its trace flux drifts less than
+    drift_threshold by t_end; the stationary set must coincide with the
+    admissibility predicate evaluated at the identified cap.
+    """
+    model = h.model
+    if limiter_estimate is None:
+        limiter_estimate = identify_limiter_cl(h)
+    a_hat = min(max(limiter_estimate, 0.0), model.a_max)
+    probe = JunctionModel(left=model.left, right=model.right, limiter=a_hat)
+    grid = h.grid
+    compat_tol = max(model.equality_tol, 1e-12)
+
+    pairs: list[TracePair] = []
+    for ql in np.linspace(0.0, model.left.rmax, grid_n):
+        for qr in np.linspace(0.0, model.right.rmax, grid_n):
+            f_left = model.left.eval(ql)
+            if abs(f_left - model.right.eval(qr)) > compat_tol:
+                continue
+            pairs.append(TracePair(float(ql), float(qr), f_left))
+    runs = h.evolve_cl([cl.riemann_field(grid, pair.q_minus, pair.q_plus) for pair in pairs], [t_end])
+
+    stationary: list[TracePair] = []
+    evolving: list[TracePair] = []
+    misclassified: list[TracePair] = []
+    for pair, run in zip(pairs, runs):
+        q_m, q_p = cl.trace_estimate(run[-1])
+        drift = max(
+            abs(model.left.eval(q_m) - pair.flux_value),
+            abs(model.right.eval(q_p) - pair.flux_value),
+        )
+        is_stationary = drift < drift_threshold
+        (stationary if is_stationary else evolving).append(pair)
+        if is_stationary != germ_contains(probe, pair, germ_tol):
+            misclassified.append(pair)
+    n_pairs = len(stationary) + len(evolving)
+    record = CheckRecord(
+        name="germ_scan",
+        measured=float(len(misclassified)),
+        tolerance=0.0,
+        scenario=(
+            f"{n_pairs} compatible pairs on a {grid_n}x{grid_n} grid, t={t_end:g}, dx={grid.dx:g},"
+            f" drift threshold {drift_threshold:g}, cap estimate {a_hat:.6g}"
+        ),
+    )
+    return GermScanResult(
+        stationary=stationary,
+        evolving=evolving,
+        misclassified=misclassified,
+        limiter_estimate=a_hat,
+        record=record,
+    )
+
+
 # -- helpers ------------------------------------------------------------------------
 
 
@@ -362,6 +433,13 @@ def test_grid_and_oracle_checks_match_the_per_point_loops(j, grid_n, seed):
     assert check_oracle_scale_invariance(j, n_samples=12, seed=seed).measured == _ref_oracle_scale_invariance(
         j, 12, seed
     )
+    h = SemigroupHandle("cl", j, dx=1 / 16, domain=(-1.0, 1.0))
+    scan = empirical_germ_scan(h, grid_n, t_end=0.25, limiter_estimate=j.limiter)
+    ref = _ref_germ_scan(h, grid_n, t_end=0.25, limiter_estimate=j.limiter)
+    for kind in ("stationary", "evolving", "misclassified"):
+        got, want = getattr(scan, kind), getattr(ref, kind)
+        assert [_bits(astuple(p)) for p in got] == [_bits(astuple(p)) for p in want], kind
+    assert scan.record == ref.record
 
 
 # -- validation on arrays ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import re
@@ -527,6 +528,19 @@ def test_verify_rejects_bad_external_timeout(tmp_path, capsys, flag, value):
     assert f"{flag}: " in capsys.readouterr().err
 
 
+def test_verify_help_shows_the_battery_defaults(capsys):
+    """verify's help reads its defaults from run_battery and EXTERNAL_TIMEOUT_S when it is printed."""
+    from junctionflow import verifier
+
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = inspect.signature(verifier.run_battery).parameters
+    assert f"(default {verifier.EXTERNAL_TIMEOUT_S:g})" in text
+    for flag, param in (("--l1-trials", "l1_trials"), ("--linf-trials", "linf_trials"), ("--scan-grid", "scan_grid_n")):
+        assert re.search(rf"{flag} N .*?\(default {defaults[param].default}\)", text), flag
+
+
 def test_verify_unfaithful_external_fails(tmp_path, capsys):
     cfg = write_config(tmp_path, cells=128, datum=None)
     script = tmp_path / "identity.py"
@@ -634,6 +648,16 @@ assert not loaded, f"a solver import loaded {sorted(loaded)}"
 listed = set(dir(junctionflow))
 missing = set(junctionflow.__all__) - listed
 assert not missing, f"dir() misses {sorted(missing)}"
+import json, tempfile
+from pathlib import Path
+from junctionflow import cli
+with tempfile.TemporaryDirectory() as td:
+    config = Path(td) / "scenario.json"
+    datum = {"name": "riemann", "left": 0.5, "right": 0.5}
+    config.write_text(json.dumps({**cli.DEFAULT_CONFIG, "cells": 40, "t_end": 0.25, "datum": datum}))
+    for command in ("solve-cl", "riemann"):
+        assert cli.main([command, "--config", str(config), "--out", td]) == 0, command
+assert "junctionflow.verifier" not in sys.modules, "a solver subcommand loaded the verifier"
 names = {}
 exec("from junctionflow import *", names)
 from junctionflow import verifier
@@ -650,6 +674,6 @@ else:
 
 
 def test_solver_imports_leave_the_verifier_unloaded():
-    """An external command importing the solvers and formats does not pay for the verifier."""
+    """An external command importing the solvers and formats, or a solver subcommand, does not pay for the verifier."""
     proc = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

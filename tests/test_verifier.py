@@ -132,6 +132,66 @@ def test_battery_passes_on_asymmetric_junctions(request, junction):
     assert report.all_passed, "\n".join(report.summary_lines())
 
 
+# Every record of a coarse battery on two junctions with L = 1 and a_max = 1/4, frozen
+# apart from wall_s: (name, measured, tolerance, scenario).
+FROZEN_RECORDS = {
+    "sym_junction": [
+        ("riemann_traces_admissible", 8.673617379884035e-17, 1e-12, "41x41 density grid"),
+        ("germ_dissipativity", 8.673617379884035e-17, 1e-12, "34 admissible pairs from a 41x41 grid"),
+        ("l1_contraction", 0.0, 6.5e-11, "3 random pairs, t in (0.25, 0.5, 1.0), dx=0.02"),
+        ("comparison_principle", -4.163336342344337e-16, 0.0, "20 ordered pairs, t in (0.5, 1.0), dx=0.02"),
+        ("mass_conservation", 1.1102230246251565e-16, 1e-10, "5 compact data, 63 steps to t=1, dx=0.02"),
+        ("finite_speed", 0.0, 0.0, "data equal on [-1.2,1.2], window shrunk by 32+1 cells at t=0.5"),
+        ("locality", 0.0, 0.0, "junction vs whole-line runs outside |x| > 0.66 at t=0.5"),
+        ("scale_invariance_cl", 0.0006138185149950789, 0.08, "riemann (0.5, 0.5), eps in (2.0, 4.0), t=0.5, dx=0.02"),
+        ("linf_contraction", 0.0, 1e-12, "2 random Lip pairs, t in (0.5, 1.0), dx=0.02"),
+        ("constants_commute", 1.4210854715202004e-14, 1e-10, "5 data x shifts (0.7, -1.3, 2.5), t=1, dx=0.02"),
+        ("duality_gap", 1.1102230246251565e-15, 0.08, "roof data at levels (0.0, 0.1875), t=1, dx=0.02"),
+        ("supersolution_floor", -0.03572637516214819, 0.0, "roof level 0 and valley levels (0.05, 0.15), t=1"),
+        ("oracle_scale_invariance", 4.440892098500626e-16, 1e-12, "100 random (eps, t, x, level) samples"),
+        ("hj_exact_agreement", 0.004273624837851816, 0.16, "roof level 0 vs closed form on [-1,1], t=1, dx=0.02"),
+        ("limiter_id_cl", 5.551115123125783e-15, 0.01, "step datum estimate 0.1875 vs configured 0.1875, dx=0.02"),
+        ("limiter_id_hj", 1.3877787807814457e-16, 0.01, "roof datum estimate 0.1875 vs configured 0.1875, dx=0.02"),
+        ("limiter_id_agreement", 5.689893001203927e-15, 0.01, "density-trace estimate vs potential-drain estimate"),
+        (
+            "germ_scan", 0.0, 0.0,
+            "9 compatible pairs on a 5x5 grid, t=0.5, dx=0.02, drift threshold 0.005, cap estimate 0.1875",
+        ),
+    ],
+    "readme_junction": [
+        ("riemann_traces_admissible", 6.938893903907228e-17, 1e-09, "41x41 density grid"),
+        ("germ_dissipativity", 0.0, 1e-12, "7 admissible pairs from a 41x41 grid"),
+        ("l1_contraction", 0.0, 6.5e-11, "3 random pairs, t in (0.25, 0.5, 1.0), dx=0.02"),
+        ("comparison_principle", -1.1102230246251565e-16, 0.0, "20 ordered pairs, t in (0.5, 1.0), dx=0.02"),
+        ("mass_conservation", 1.1102230246251565e-16, 1e-10, "5 compact data, 63 steps to t=1, dx=0.02"),
+        ("finite_speed", 0.0, 0.0, "data equal on [-1.2,1.2], window shrunk by 32+1 cells at t=0.5"),
+        ("locality", 0.0, 0.0, "junction vs whole-line runs outside |x| > 0.66 at t=0.5"),
+        ("scale_invariance_cl", 0.0007607505595917872, 0.08, "riemann (0.5, 0.5), eps in (2.0, 4.0), t=0.5, dx=0.02"),
+        ("linf_contraction", 0.0, 1e-12, "2 random Lip pairs, t in (0.5, 1.0), dx=0.02"),
+        ("constants_commute", 2.842170943040401e-14, 1e-10, "5 data x shifts (0.7, -1.3, 2.5), t=1, dx=0.02"),
+        ("duality_gap", 1.1102230246251565e-15, 0.08, "roof data at levels (0.0, 0.1875), t=1, dx=0.02"),
+        ("supersolution_floor", -0.028429893231917087, 0.0, "roof level 0 and valley levels (0.05, 0.15), t=1"),
+        ("oracle_scale_invariance", 4.440892098500626e-16, 1e-12, "100 random (eps, t, x, level) samples"),
+        ("hj_exact_agreement", 0.011570106768082912, 0.16, "roof level 0 vs closed form on [-1,1], t=1, dx=0.02"),
+        ("limiter_id_cl", 5.551115123125783e-15, 0.01, "step datum estimate 0.1875 vs configured 0.1875, dx=0.02"),
+        ("limiter_id_hj", 1.3877787807814457e-16, 0.01, "roof datum estimate 0.1875 vs configured 0.1875, dx=0.02"),
+        ("limiter_id_agreement", 5.689893001203927e-15, 0.01, "density-trace estimate vs potential-drain estimate"),
+        (
+            "germ_scan", 0.0, 0.0,
+            "5 compatible pairs on a 5x5 grid, t=0.5, dx=0.02, drift threshold 0.005, cap estimate 0.1875",
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("junction", sorted(FROZEN_RECORDS))
+def test_battery_records_are_frozen(request, junction):
+    """Each record equals the frozen one; floats compare by repr, so one ulp, or -0.0 for 0.0, fails."""
+    report = run_battery(request.getfixturevalue(junction), dx=1 / 50, l1_trials=3, linf_trials=2, scan_grid_n=5)
+    got = [(r.name, repr(r.measured), repr(r.tolerance), r.scenario) for r in report.records]
+    assert got == [(name, repr(m), repr(tol), scenario) for name, m, tol, scenario in FROZEN_RECORDS[junction]]
+
+
 def test_battery_records_carry_wall_time(battery_report):
     for rec in battery_report.records:
         assert math.isfinite(rec.wall_s) and rec.wall_s >= 0.0, rec.name
@@ -470,6 +530,9 @@ def test_handle_evolves_only_its_scheme(sym_junction, command):
 def test_handle_rejects_unknown_scheme(sym_junction):
     with pytest.raises(ValueError, match="unknown scheme 'cl_internal'"):
         SemigroupHandle("cl_internal", sym_junction)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="resolution dx"):
+            SemigroupHandle("cl", sym_junction, dx=bad)
 
 
 def test_external_handle_surfaces_failures(tmp_path, sym_junction):
