@@ -11,9 +11,10 @@ The grid places x = 0 on a cell interface, cells are uniform with a
 shared width on both sides, and every update runs under the CFL bound
 dt <= cfl * dx / L with L = max |H'| over both fluxes.
 
-``FluxKernel`` computes the interface fluxes: each side validated and
-clamped once per step, demand and supply once per cell.  The node
-scheme of ``hj_solver`` steps with the same kernel applied to slopes.
+``FluxKernel`` computes the interface fluxes: each distinct flux
+validated and clamped once per step, demand and supply once per cell.
+The node scheme of ``hj_solver`` steps with the same kernel applied to
+slopes.
 ``solve`` marches a bare array with it and builds a ``CellField`` only
 at snapshots, and ``solve_batch`` marches many states of one grid as
 the rows of one array, bit for bit their ``solve`` runs; ``step`` is
@@ -146,11 +147,13 @@ def godunov_flux(flux: ConcaveFlux, a, b):
 class FluxKernel:
     """Interface fluxes of a junction on a grid: the update shared by both schemes.
 
-    A call validates and clamps each side of ``values`` (densities, or
-    the slopes of a potential) once, then evaluates demand D and supply
-    S once per cell.  Interior interfaces carry min(D[:-1], S[1:]), the
-    junction min(A, D_left[-1], S_right[0]), and each outer edge the
-    Godunov flux min(D, S) of its cell against a copy of itself; with
+    A call validates and clamps ``values`` (densities, or the slopes of
+    a potential) once per distinct flux, then evaluates demand D and
+    supply S once per cell: a junction with one flux on both sides
+    takes all cells in one pass, any other one pass a side.  Interior
+    interfaces carry min(D[:-1], S[1:]), the junction
+    min(A, D_left[-1], S_right[0]), and each outer edge the Godunov
+    flux min(D, S) of its cell against a copy of itself; with
     ``plain_edges`` the outer edges carry H of the edge value instead
     (the node scheme's arithmetic; the two differ by at most an ulp near
     p_crit).  Work arrays are allocated once, so a march allocates
@@ -173,7 +176,9 @@ class FluxKernel:
         self._fluxes = np.empty((*batch_shape, grid.n_cells + 1))
         # index tuples built once: the inner loop indexes with them every step
         nl = self.n_left
-        self._sides = ((j.left, np.s_[..., :nl]), (j.right, np.s_[..., nl:]))
+        self._halves = ((j.left, np.s_[..., :nl]), (j.right, np.s_[..., nl:]))
+        # one flux on both sides: clamp and envelopes take all cells in one pass
+        self._sides = ((j.left, np.s_[...]),) if j.left == j.right else self._halves
         self._inner = (
             (np.s_[..., : nl - 1], np.s_[..., 1:nl]),
             (np.s_[..., nl:-1], np.s_[..., nl + 1 :]),
@@ -181,10 +186,19 @@ class FluxKernel:
         self._inner_fluxes = (np.s_[..., 1:nl], np.s_[..., nl + 1 : -1])
 
     def clamp(self, values: np.ndarray) -> np.ndarray:
-        """Validate and clamp each side of ``values`` into the kernel's work buffer."""
+        """Validate and clamp each side of ``values`` into the kernel's work buffer.
+
+        A bad entry is reported as a left-then-right scan of the halves
+        finds it, also when one pass took both halves.
+        """
         p = self._clamped
-        for flux, side in self._sides:
-            flux.clamp(values[side], out=p[side])
+        try:
+            for flux, side in self._sides:
+                flux.clamp(values[side], out=p[side])
+        except DomainError:
+            for flux, side in self._halves:
+                flux.clamp(values[side])
+            raise
         return p
 
     def __call__(self, values: np.ndarray, plain_edges: bool = False) -> np.ndarray:

@@ -32,7 +32,7 @@ conjugate and ``canonical_eval`` take floats or arrays (float in, float
 out; array in, array out, each entry bit for bit the scalar call) and
 validate every call, reporting the first offending entry of an array;
 ``envelopes`` is the unvalidated form of demand and supply for the
-schemes' inner loop, which clamps each side once per step
+schemes' inner loop, which clamps once per distinct flux per step
 (``cl_solver.FluxKernel``) and then needs demand and supply of the same
 cells, bit for bit as ``demand``/``supply`` give them.
 """

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -32,6 +34,15 @@ def junctions(draw):
     left, right = draw(any_flux), draw(any_flux)
     frac = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     return JunctionModel(left=left, right=right, limiter=frac * min(left.capacity, right.capacity))
+
+
+@st.composite
+def twin_junctions(draw):
+    """One flux on both sides, as the same object or as an equal copy; cap 0, a_max or between."""
+    flux = draw(any_flux)
+    right = flux if draw(st.booleans()) else dataclasses.replace(flux)
+    frac = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return JunctionModel(left=flux, right=right, limiter=frac * flux.capacity)
 
 
 def side_values(rng: np.random.Generator, flux, n: int) -> np.ndarray:
