@@ -81,10 +81,15 @@ class TracePair:
 
 
 def junction_flux(j: JunctionModel, q_left: ArrayLike, q_right: ArrayLike) -> ArrayLike:
-    """Flow through the junction for adjacent densities (q_left, q_right)."""
+    """Flow through the junction for adjacent densities (q_left, q_right).
+
+    Ties go to the first of equals in the order cap, demand, supply, as
+    Python's ``min`` and the scheme's kernel take them (so +0.0 beats -0.0).
+    """
     d = j.left.demand(q_left)
     s = j.right.supply(q_right)
-    return float_or_array(np.minimum(j.limiter, np.minimum(d, s)))
+    capped = np.where(d < j.limiter, d, j.limiter)
+    return float_or_array(np.where(s < capped, s, capped))
 
 
 def _unpack(pair) -> tuple[ArrayLike, ArrayLike]:

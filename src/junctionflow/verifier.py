@@ -107,7 +107,7 @@ class VerificationReport:
         return lines
 
 
-@dataclass
+@dataclass(frozen=True)
 class SemigroupHandle:
     """A semi-group that can be evolved from a state to requested times.
 
@@ -125,6 +125,12 @@ class SemigroupHandle:
     usable CPU; a failure is reported for the first failing call in
     (state, time) order.  A call still running after ``timeout`` seconds
     is killed (``StepError``).
+
+    An ``"hj"`` handle also keeps the runs of the canonical wedge probes
+    (``WEDGE_PROBES``), marched in one batch by the first potential check
+    that reads them.  Remembered answers and probe runs hold only for the
+    parameters the handle was built with, so the handle is frozen;
+    ``dataclasses.replace`` makes a new handle with empty stores.
     """
 
     scheme: str
@@ -136,6 +142,8 @@ class SemigroupHandle:
     timeout: float = EXTERNAL_TIMEOUT_S
     # (grid, start time, state bytes, time) -> the command's validated answer
     _answers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (WEDGE_PROBES entry, initial potential, its state at WEDGE_T) per probe, filled by _wedge_runs
+    _probes: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in ("cl", "hj"):
@@ -272,20 +280,29 @@ def random_cell_field(
     The default support keeps differences inside the domain of dependence
     of [-2, 2] through t = 1: with open copy-cell boundaries, contraction
     only holds while the data still agree near the edges of the domain.
+    Each level is drawn as ``rng.uniform(0, top)`` would draw it, in the
+    same order, with one RNG call per array: (left, right) of the
+    background, then (left, right) of each piece.
     """
     if background is None:
-        background = (rng.uniform(0.0, j.left.rmax), rng.uniform(0.0, j.right.rmax))
+        background = _side_levels(rng, (j.left.rmax, j.right.rmax))
     if vmax is None:
         vmax = (j.left.rmax, j.right.rmax)
     xs = grid.cell_centers()
-    v = np.where(xs < 0.0, background[0], background[1])
+    right = xs >= 0.0
+    v = np.where(right, background[1], background[0])
     n_pieces = int(rng.integers(2, 7))
     edges = np.sort(rng.uniform(support[0], support[1], size=n_pieces + 1))
-    for k in range(n_pieces):
-        block = (xs >= edges[k]) & (xs < edges[k + 1])
-        v[block & (xs < 0.0)] = rng.uniform(0.0, vmax[0])
-        v[block & (xs >= 0.0)] = rng.uniform(0.0, vmax[1])
+    levels = _side_levels(rng, vmax, n_pieces)
+    piece = np.searchsorted(edges, xs, side="right") - 1  # the k with edges[k] <= x < edges[k + 1]
+    inside = (piece >= 0) & (piece < n_pieces)
+    v[inside] = levels[piece[inside], right[inside].astype(int)]
     return cl.CellField(grid=grid, values=v)
+
+
+def _side_levels(rng: np.random.Generator, top: tuple[float, float], *rows: int) -> np.ndarray:
+    """``rows`` (left, right) pairs drawn uniformly from [0, top], as that many ``rng.uniform`` pairs would be."""
+    return rng.random((*rows, 2)) * np.asarray(top, dtype=float)
 
 
 def random_node_field(
@@ -326,9 +343,10 @@ def _contraction_gap(h, n_trials, seed, draw, evolve, distance, t_grid) -> float
     """
     rng = np.random.default_rng(seed)
     grid = h.grid
+    rmax = (h.model.left.rmax, h.model.right.rmax)
     data = []
     for _ in range(n_trials):
-        background = (rng.uniform(0.0, h.model.left.rmax), rng.uniform(0.0, h.model.right.rmax))
+        background = _side_levels(rng, rmax)
         data += [draw(grid, h.model, rng, background=background) for _ in range(2)]
     runs = evolve(data, t_grid)
     worst = 0.0
@@ -425,7 +443,8 @@ def check_locality(h: SemigroupHandle, seed: int = 4) -> CheckRecord:
     flux to the plain interior flux, and marches the internal scheme on
     the junction run's steps (its CFL number scaled by the ratio of the
     Lipschitz bounds, so both plan the same legs); agreement is required
-    bitwise outside the cone that the junction can influence.
+    bitwise outside the cone that the junction can influence.  One flux
+    on both sides makes one whole-line run, read on both sides.
     """
     t_end = 0.5
     grid = h.grid
@@ -438,14 +457,17 @@ def check_locality(h: SemigroupHandle, seed: int = 4) -> CheckRecord:
     cone = (steps + 1) * grid.dx
 
     s_junction = h.evolve_cl([f0], [t_end])[0][-1]
+    line_runs = {}  # flux -> its whole-line run's final state
     worst = 0.0
     for flux, side_mask in (
         (h.model.left, xs < -cone),
         (h.model.right, xs > cone),
     ):
-        line_model = JunctionModel(left=flux, right=flux, limiter=flux.capacity)
-        cfl = h.cfl * flux.lipschitz_bound / h.model.lipschitz_bound
-        s_line = cl.solve(f0, line_model, t_end, cfl=cfl)[-1]
+        if flux not in line_runs:
+            line_model = JunctionModel(left=flux, right=flux, limiter=flux.capacity)
+            cfl = h.cfl * flux.lipschitz_bound / h.model.lipschitz_bound
+            line_runs[flux] = cl.solve(f0, line_model, t_end, cfl=cfl)[-1]
+        s_line = line_runs[flux]
         worst = max(worst, float(np.max(np.abs(s_junction.values[side_mask] - s_line.values[side_mask]))))
     return CheckRecord(
         name="locality",
@@ -528,6 +550,37 @@ def check_germ_dissipativity(model: JunctionModel, grid_n: int = 41) -> CheckRec
 
 # -- HJ checks ---------------------------------------------------------------
 
+#: The canonical wedge probes of the four potential checks that test the flux-limited
+#: junction condition (duality, supersolution_floor, hj_exact_agreement, limiter_id_hj):
+#: (shape, level as a fraction of the joint capacity a_max), each marched to WEDGE_T.
+#: The first roof is the level-0 roof.
+WEDGE_PROBES = (
+    (DatumShape.PHI_HAT, 0.0),
+    (DatumShape.PHI_HAT, 0.75),
+    (DatumShape.PHI_CHECK, 0.2),
+    (DatumShape.PHI_CHECK, 0.6),
+)
+WEDGE_T = 1.0
+
+
+def _wedge_runs(h: SemigroupHandle, shape: DatumShape) -> list[tuple[float, hj.NodeField, hj.NodeField]]:
+    """(level, initial potential, state at WEDGE_T) of each probe of ``shape`` on ``h``, in table order.
+
+    The first call on a handle marches all four probes in one ``evolve_hj``
+    batch and keeps the runs in the handle; later calls read them.  A row
+    of a batch is bit for bit its solo run, so each check reads what a
+    march of its own probes alone would give.
+    """
+    a_max = h.model.a_max
+    if not h._probes:
+        grid = h.grid
+        data = [
+            hj.canonical_node_field(grid, h.model, CanonicalDatum(shape=s, level=frac * a_max)) for s, frac in WEDGE_PROBES
+        ]
+        runs = h.evolve_hj(data, [WEDGE_T])
+        h._probes.extend(zip(WEDGE_PROBES, data, (run[-1] for run in runs)))
+    return [(frac * a_max, u0, out) for (s, frac), u0, out in h._probes if s is shape]
+
 
 def check_linf_contraction(h: SemigroupHandle, n_trials: int = 20, seed: int = 5) -> CheckRecord:
     """Sup distance between two evolved potentials never exceeds the initial one."""
@@ -566,23 +619,23 @@ def check_constants(h: SemigroupHandle, n_trials: int = 5, seed: int = 6) -> Che
 def check_duality(h: SemigroupHandle) -> CheckRecord:
     """Cumulative sums of the density run match the direct node scheme.
 
-    Gap allowance 2 dx (1 + t L): the two discretizations share their
-    slope dynamics, so the gap is pure round-off plus one flux quadrature.
+    The node runs are the roof probes of ``WEDGE_PROBES`` (all four are
+    marched on the handle's first potential-probe check).  Gap allowance
+    2 dx (1 + t L): the two discretizations share their slope dynamics,
+    so the gap is pure round-off plus one flux quadrature.
     """
-    levels, t_end = (0.0, 0.75 * h.model.a_max), 1.0
+    t_end = WEDGE_T
+    roofs = _wedge_runs(h, DatumShape.PHI_HAT)
+    levels = tuple(level for level, _, _ in roofs)
     grid = h.grid
     L = h.model.lipschitz_bound
     tol = 2.0 * grid.dx * (1.0 + t_end * L)
-    roofs = [
-        hj.canonical_node_field(grid, h.model, CanonicalDatum(shape=DatumShape.PHI_HAT, level=level))
-        for level in levels
-    ]
     worst = 0.0
-    for u0, run in zip(roofs, h.evolve_hj(roofs, [t_end])):
+    for _, u0, out in roofs:
         rho0 = cl.CellField(grid=grid, values=u0.slopes())
         cl_run = cl.solve(rho0, h.model, t_end, cfl=h.cfl, snapshot_times=[0.0, t_end])
         via_cl = hj.hj_from_cl(cl_run, u0, h.model)[-1]
-        worst = max(worst, hj.sup_distance(via_cl, run[-1]))
+        worst = max(worst, hj.sup_distance(via_cl, out))
     return CheckRecord(
         name="duality_gap",
         measured=worst,
@@ -592,20 +645,21 @@ def check_duality(h: SemigroupHandle) -> CheckRecord:
 
 
 def check_supersolution_floor(h: SemigroupHandle) -> CheckRecord:
-    """Evolved potentials stay above the uncapped evolution minus 2 dx."""
-    valley_levels, t_end = (0.2 * h.model.a_max, 0.6 * h.model.a_max), 1.0
+    """Evolved potentials stay above the uncapped evolution minus 2 dx.
+
+    Reads the level-0 roof and the valley probes of ``WEDGE_PROBES``; a
+    lone call marches all four probes.
+    """
+    t_end = WEDGE_T
+    roof_out = _wedge_runs(h, DatumShape.PHI_HAT)[0][2]
+    valleys = _wedge_runs(h, DatumShape.PHI_CHECK)
+    valley_levels = tuple(level for level, _, _ in valleys)
     grid = h.grid
     xs = grid.node_coords()
     slack = 2.0 * grid.dx
-    roof = hj.canonical_node_field(grid, h.model, CanonicalDatum(shape=DatumShape.PHI_HAT, level=0.0))
-    valleys = [
-        hj.canonical_node_field(grid, h.model, CanonicalDatum(shape=DatumShape.PHI_CHECK, level=level))
-        for level in valley_levels
-    ]
-    roof_out, *valley_outs = (run[-1] for run in h.evolve_hj([roof, *valleys], [t_end]))
     floor = hj.exact_roof0_uncapped(h.model, t_end, xs)
     violation = max(-math.inf, float(np.max(floor - slack - roof_out.values)))
-    for level, u0, out in zip(valley_levels, valleys, valley_outs):
+    for level, u0, out in valleys:
         # uncapped junction passes the valley's own level: uniform drain
         floor = u0.values - t_end * level
         violation = max(violation, float(np.max(floor - slack - out.values)))
@@ -620,13 +674,10 @@ def check_supersolution_floor(h: SemigroupHandle) -> CheckRecord:
 def check_oracle_scale_invariance(model: JunctionModel, n_samples: int = 100, seed: int = 7) -> CheckRecord:
     """eps * exact(t/eps, x/eps) = exact(t, x) for the closed-form solutions."""
     rng = np.random.default_rng(seed)
-    amax = model.a_max
     cap = model.limiter
-    draws = [
-        (rng.uniform(0.25, 4.0), rng.uniform(0.1, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.0, amax))
-        for _ in range(n_samples)
-    ]
-    eps, t, x, level = np.array(draws).reshape(n_samples, 4).T
+    # one row per sample, drawn as rng.uniform(low, high) draws it, column by column
+    low, high = np.array([0.25, 0.1, -2.0, 0.0]), np.array([4.0, 2.0, 2.0, model.a_max])
+    eps, t, x, level = (low + (high - low) * rng.random((n_samples, 4))).T
     worst = 0.0
     for f, fs in (
         (hj.exact_roof0_uncapped(model, t, x), hj.exact_roof0_uncapped(model, t / eps, x / eps)),
@@ -644,12 +695,14 @@ def check_oracle_scale_invariance(model: JunctionModel, n_samples: int = 100, se
 
 
 def check_hj_exact_agreement(h: SemigroupHandle) -> CheckRecord:
-    """Direct scheme from the level-0 roof matches the closed form, sup norm on [-1, 1] at t = 1."""
-    t_end, window = 1.0, (-1.0, 1.0)
+    """Direct scheme from the level-0 roof matches the closed form, sup norm on [-1, 1] at t = 1.
+
+    Reads the level-0 roof probe of ``WEDGE_PROBES``; a lone call marches all four probes.
+    """
+    t_end, window = WEDGE_T, (-1.0, 1.0)
     grid = h.grid
     tol = 8.0 * grid.dx
-    u0 = hj.canonical_node_field(grid, h.model, CanonicalDatum(shape=DatumShape.PHI_HAT, level=0.0))
-    out = h.evolve_hj([u0], [t_end])[0][-1]
+    out = _wedge_runs(h, DatumShape.PHI_HAT)[0][2]
     xs = grid.node_coords()
     mask = (xs >= window[0]) & (xs <= window[1])
     exact = hj.exact_roof0_capped(h.model, h.model.limiter, t_end, xs[mask])
@@ -666,12 +719,12 @@ def check_hj_exact_agreement(h: SemigroupHandle) -> CheckRecord:
 
 
 def identify_limiter_hj(h: SemigroupHandle) -> float:
-    """Cap estimate: minus the junction-node value after evolving the level-0 roof to t = 1."""
-    t_probe = 1.0
-    grid = h.grid
-    u0 = hj.canonical_node_field(grid, h.model, CanonicalDatum(shape=DatumShape.PHI_HAT, level=0.0))
-    out = h.evolve_hj([u0], [t_probe])[0][-1]
-    return float(-out.value_at_zero() / t_probe + 0.0)
+    """Cap estimate: minus the junction-node value after evolving the level-0 roof to t = 1.
+
+    Reads the level-0 roof probe of ``WEDGE_PROBES``; a lone call marches all four probes.
+    """
+    out = _wedge_runs(h, DatumShape.PHI_HAT)[0][2]
+    return float(-out.value_at_zero() / WEDGE_T + 0.0)
 
 
 def identify_limiter_cl(h: SemigroupHandle) -> float:

@@ -33,6 +33,24 @@ def test_junction_flux_frozen_values(sym_junction, uncapped_junction):
     assert junction_flux(sym_junction, 0.1, 0.9) == pytest.approx(0.09, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "cap,q_left,q_right,want",
+    [
+        (0.0, -0.0, 0.5, 0.0),  # cap +0.0 ties a -0.0 demand: the cap wins
+        (0.25, -0.0, 1.0, -0.0),  # demand -0.0 ties supply +0.0 under the cap: the demand wins
+        (0.0, -0.0, 1.0, 0.0),  # all three zero: the cap wins
+    ],
+)
+def test_junction_flux_ties_go_to_cap_then_demand_then_supply(default_flux, cap, q_left, q_right, want):
+    """The kernel's rule (Python's ``min(cap, demand, supply)``), signs of zero included."""
+    j = JunctionModel(default_flux, default_flux, cap)
+    assert repr(min(j.limiter, j.left.demand(q_left), j.right.supply(q_right))) == repr(want)
+    got = junction_flux(j, q_left, q_right)
+    assert isinstance(got, float) and repr(got) == repr(want)
+    batch = junction_flux(j, np.array([q_left, 0.5]), np.array([q_right, 0.5]))
+    assert repr(float(batch[0])) == repr(want)
+
+
 def test_junction_model_validation(default_flux):
     with pytest.raises(LevelError):
         JunctionModel(left=default_flux, right=default_flux, limiter=0.3)

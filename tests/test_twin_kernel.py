@@ -7,10 +7,11 @@ data that holds ``-0.0``, single and batched.  They must agree with
 ``test_kernel``'s verbatim references as ``test_kernel`` compares, and
 byte for byte, signs of zero included, with the same march on a junction
 whose right flux is an unequal twin: the same arithmetic under a
-subclass, which the kernel marches one pass a side.  (The references
-take the junction minimum with ``np.minimum``, the kernel as Python's
-``min`` does, so the two may differ on the sign of a zero flux.)  A bad
-datum must be reported with the message of the per-side references.
+subclass, which the kernel marches one pass a side.  The references
+take the junction minimum with ``junction.junction_flux``, which breaks
+ties as the kernel does (first of cap, demand, supply), so a zero flux
+keeps its sign too.  A bad datum must be reported with the message of
+the per-side references.
 """
 
 from __future__ import annotations
@@ -175,6 +176,17 @@ def test_step_on_twin_junctions_matches_reference_bitwise(j, seed, cfl):
     if ref is not None:
         _assert_same_cells([new], [ref])
         assert _bits([new]) == _bits([step(state, _split(j), dt)])
+
+
+def test_zero_flux_tie_at_a_closed_junction_matches_reference_bytes():
+    """Cap +0.0 against a -0.0 demand: the junction flux is +0.0 in both, so the right cell stays +0.0."""
+    flux = QuadraticFlux(1.0, 1.0)
+    j = JunctionModel(flux, flux, 0.0)
+    rho0 = CellField(Grid(2, 1, 0.5), np.array([0.5, -0.0, -0.0]))
+    new = solve(rho0, j, 0.125, cfl=1.0)
+    ref, _ = _outcome(_ref_solve, rho0, j, 0.125, 1.0, [0.125])
+    assert _bits(new) == _bits(ref)
+    assert new[-1].values.tobytes() == np.array([0.5, 0.25, 0.0]).tobytes()
 
 
 # -- bad data: the message of the per-side scan ------------------------------------
