@@ -15,12 +15,15 @@ dt <= cfl * dx / L with L = max |H'| over both fluxes.
 validated and clamped once per step, demand and supply once per cell.
 The node scheme of ``hj_solver`` steps with the same kernel applied to
 slopes.
-``solve`` marches a bare array with it and builds a ``CellField`` only
-at snapshots, and ``solve_batch`` marches many states of one grid as
-the rows of one array, bit for bit their ``solve`` runs; ``step`` is
-the checked single update.  ``plan_march`` is the one step planner:
-both schemes, single or batched, the verifier's step counts and the
-CLI manifests read their legs from it.
+``_march_cells`` is the one density march, building a ``CellField``
+only at snapshots; ``solve``, ``solve_batch`` (states of one grid as
+the rows of one array, bit for bit their ``solve`` runs) and ``step``
+(one leg of one step) are thin calls of it.  Two forks stay: one state
+stays a 1-D array, whose junction and edge minima cost about 15 µs a
+step less than as a (1, cells) array; and a batch of one is a call of
+the module's ``solve``, the one name a benchmark tracer counts cell
+updates in.  ``plan_march`` is the one step planner: both schemes,
+the verifier's step counts and the CLI manifests read their legs from it.
 """
 
 from __future__ import annotations
@@ -241,15 +244,7 @@ def step(state: CellField, j: JunctionModel, dt: float) -> CellField:
         raise StepError(f"dt must be positive, got {dt}")
     if dt * L > dx * (1.0 + 1e-12):
         raise StepError(f"CFL violation: dt={dt} exceeds dx/L={dx / L}")
-    fluxes = FluxKernel(j, state.grid)(state.values)
-    new_values = state.values - (dt / dx) * np.diff(fluxes)
-    return CellField(
-        grid=state.grid,
-        values=new_values,
-        time=state.time + dt,
-        left_flux_time_integral=state.left_flux_time_integral + dt * fluxes[0],
-        right_flux_time_integral=state.right_flux_time_integral + dt * fluxes[-1],
-    )
+    return _march_cells([state], j, [Leg(state.time, state.time + dt, 1, dt)], state.values.copy())[0][0]
 
 
 def plan_steps(t_from: float, t_to: float, dt_max: float) -> tuple[int, float]:
@@ -326,11 +321,8 @@ def solve(
     When omitted, the single snapshot [t_end] is produced.  The datum is
     validated on entry, so a march of no steps rejects it too.
     """
-    grid = rho0.grid
-    legs = plan_march(j, grid.dx, t_end, cfl, snapshot_times, t0=rho0.time)
-    v = rho0.values.copy()
-    march = _march_cells(j, grid, v, rho0.left_flux_time_integral, rho0.right_flux_time_integral, legs)
-    return [CellField(grid, v.copy(), leg.t_to, left_int, right_int) for leg, left_int, right_int in march]
+    legs = plan_march(j, rho0.grid.dx, t_end, cfl, snapshot_times, t0=rho0.time)
+    return _march_cells([rho0], j, legs, rho0.values.copy())[0]
 
 
 def solve_batch(
@@ -344,35 +336,34 @@ def solve_batch(
 
     Returns one snapshot list per state, bit for bit its ``solve`` run.
     Every state is validated on entry.  A batch of one is a ``solve``
-    call: as a (1, cells) array its junction and edge minima would cost
-    about 15 µs more a step.
+    call (see the module docstring).
     """
     grid, t0 = batch_start(states)
     if len(states) == 1:
         return [solve(states[0], j, t_end, cfl, snapshot_times)]
     legs = plan_march(j, grid.dx, t_end, cfl, snapshot_times, t0=t0)
-    v = np.stack([s.values for s in states])
-    left = np.array([s.left_flux_time_integral for s in states])
-    right = np.array([s.right_flux_time_integral for s in states])
-    out: list[list[CellField]] = [[] for _ in states]
-    for leg, left_int, right_int in _march_cells(j, grid, v, left, right, legs):
-        for row, snaps in enumerate(out):
-            snaps.append(CellField(grid, v[row].copy(), leg.t_to, float(left_int[row]), float(right_int[row])))
-    return out
+    return _march_cells(states, j, legs, np.stack([s.values for s in states]))
 
 
-def _march_cells(j: JunctionModel, grid: Grid, v: np.ndarray, left_int, right_int, legs: Sequence[Leg]):
-    """March densities ``v`` (one state, or one a row) in place; yield (leg, edge integrals) at each leg's end.
+def _march_cells(states: Sequence[CellField], j: JunctionModel, legs: Sequence[Leg], v: np.ndarray):
+    """Validate and march ``v``, the values of ``states`` (one 1-D array, or one a row), in place.
 
-    The datum is validated before the generator first yields, even for a march of no steps.
+    Returns one snapshot list per state, a snapshot at each leg's end.
     """
+    grid = states[0].grid
     kernel = FluxKernel(j, grid, v.shape[:-1])
     kernel.clamp(v)
     dx = grid.dx
     dv = np.empty_like(v)
     right_of, left_of = np.s_[..., 1:], np.s_[..., :-1]
-    # scalar edge fluxes for one state: arithmetic on 0-d arrays costs about a microsecond
-    first, last = (0, -1) if v.ndim == 1 else (np.s_[:, 0], np.s_[:, -1])
+    if v.ndim == 1:
+        # scalar edge fluxes for one state: arithmetic on 0-d arrays costs about a microsecond
+        first, last, rows, listed = 0, -1, [v], lambda a: [a]
+        left_int, right_int = states[0].left_flux_time_integral, states[0].right_flux_time_integral
+    else:
+        first, last, rows, listed = np.s_[:, 0], np.s_[:, -1], v, np.ndarray.tolist
+        left_int, right_int = np.array([(s.left_flux_time_integral, s.right_flux_time_integral) for s in states]).T
+    out: list[list[CellField]] = [[] for _ in states]
     for leg in legs:
         dt = leg.dt
         lam = dt / dx
@@ -383,7 +374,9 @@ def _march_cells(j: JunctionModel, grid: Grid, v: np.ndarray, left_int, right_in
             v -= dv
             left_int = left_int + dt * fluxes[first]
             right_int = right_int + dt * fluxes[last]
-        yield leg, left_int, right_int
+        for snaps, row, a, b in zip(out, rows, listed(left_int), listed(right_int)):
+            snaps.append(CellField(grid, row.copy(), leg.t_to, a, b))
+    return out
 
 
 def batch_start(states: Sequence) -> tuple[Grid, float]:

@@ -370,8 +370,8 @@ def _cmd_exact_hj(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
     model = cfg.model
     which = opts["datum"]
     t = float(opts["time"])
-    if t <= 0.0:
-        raise ConfigError(f"time: must be positive, got {t}")
+    if not (0.0 < t < math.inf):
+        raise ConfigError(f"time: must be positive and finite, got {t}")
     level = float(opts["limiter"]) if opts.get("limiter") is not None else model.limiter
 
     grid = cfg.build_grid()

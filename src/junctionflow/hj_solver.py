@@ -22,7 +22,9 @@ Three independent ways to produce u(t) live here:
   scheme's ``FluxKernel``; only its two outer nodes differ, carrying
   H of their one slope rather than a copy-cell Godunov flux.
   ``hj_direct_solve_batch`` marches many potentials of one grid as the
-  rows of one array, bit for bit their single runs.
+  rows of one array, bit for bit their single runs.  Both are thin
+  calls of one march body, ``_march_nodes``, which keeps the two forks
+  of ``cl_solver``'s density march for the same reasons.
 
 The direct scheme's slope dynamics coincide with the Godunov update, so
 the two discrete routes agree up to accumulated round-off.
@@ -226,11 +228,8 @@ def hj_direct_solve(
     rejected) on entry, so a march of no steps rejects a bad datum too,
     and clamped once per step.
     """
-    grid = u0.grid
-    legs = plan_march(j, grid.dx, t_end, cfl, snapshot_times, t0=u0.time)
-    validate_lip(u0, j)
-    u = u0.values.copy()
-    return [NodeField(grid=grid, values=u.copy(), time=leg.t_to) for leg in _march_nodes(j, grid, u, legs)]
+    legs = plan_march(j, u0.grid.dx, t_end, cfl, snapshot_times, t0=u0.time)
+    return _march_nodes([u0], j, legs, u0.values.copy())[0]
 
 
 def hj_direct_solve_batch(
@@ -250,21 +249,18 @@ def hj_direct_solve_batch(
     if len(states) == 1:
         return [hj_direct_solve(states[0], j, t_end, cfl, snapshot_times)]
     legs = plan_march(j, grid.dx, t_end, cfl, snapshot_times, t0=t0)
+    return _march_nodes(states, j, legs, np.stack([s.values for s in states]))
+
+
+def _march_nodes(states: Sequence[NodeField], j: JunctionModel, legs: Sequence[Leg], u: np.ndarray):
+    """``cl_solver._march_cells`` for potentials: Lip-validate ``states``, march their values ``u``."""
     for u0 in states:
         validate_lip(u0, j)
-    u = np.stack([s.values for s in states])
-    out: list[list[NodeField]] = [[] for _ in states]
-    for leg in _march_nodes(j, grid, u, legs):
-        for row, snaps in enumerate(out):
-            snaps.append(NodeField(grid=grid, values=u[row].copy(), time=leg.t_to))
-    return out
-
-
-def _march_nodes(j: JunctionModel, grid: Grid, u: np.ndarray, legs: Sequence[Leg]):
-    """March potentials ``u`` (one state, or one a row) in place; yield each leg at its end."""
+    grid = states[0].grid
     kernel = FluxKernel(j, grid, u.shape[:-1])
     slopes = np.empty((*u.shape[:-1], grid.n_cells))
     right_of, left_of = np.s_[..., 1:], np.s_[..., :-1]
+    out: list[list[NodeField]] = [[] for _ in states]
     for leg in legs:
         for _ in range(leg.n_steps):
             np.subtract(u[right_of], u[left_of], out=slopes)
@@ -272,4 +268,6 @@ def _march_nodes(j: JunctionModel, grid: Grid, u: np.ndarray, legs: Sequence[Leg
             h = kernel(slopes, plain_edges=True)
             h *= leg.dt
             u -= h
-        yield leg
+        for snaps, row in zip(out, [u] if u.ndim == 1 else u):
+            snaps.append(NodeField(grid=grid, values=row.copy(), time=leg.t_to))
+    return out

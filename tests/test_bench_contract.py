@@ -86,3 +86,42 @@ def test_solve_hooks_count_planned_updates(bench, sym_junction):
     assert hj_stats.extra["updates"] == (grid.n_cells + 1) * steps_hj > 0
     assert cl_stats.extra["last_result"] is cl_run and hj_stats.extra["last_result"] is hj_run
     assert np.isfinite(cl_stats.inclusive_s) and np.isfinite(hj_stats.inclusive_s)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_a_lone_state_is_marched_through_the_counted_names(monkeypatch, sym_junction, size):
+    """The harness counts updates in ``solve`` and ``hj_direct_solve`` only, so a batch of one goes through them.
+
+    Every batched entry point hands a lone state to the module's single
+    name, once, and marches a batch of two or more without it.
+    """
+    from junctionflow import cl_solver, hj_solver
+
+    calls = {"solve": 0, "hj_direct_solve": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(cl_solver, "solve")
+    count(hj_solver, "hj_direct_solve")
+    grid = Grid.from_domain(-1.0, 1.0, 16)
+    cells = [riemann_field(grid, 0.6, 0.3)] * size
+    nodes = [NodeField(grid, 0.5 * grid.node_coords())] * size
+    h_cl = SemigroupHandle("cl", model=sym_junction, dx=grid.dx, domain=(-1.0, 1.0))
+    h_hj = SemigroupHandle("hj", model=sym_junction, dx=grid.dx, domain=(-1.0, 1.0))
+    marches = [
+        ("solve", lambda: cl_solver.solve_batch(cells, sym_junction, 0.2)),
+        ("hj_direct_solve", lambda: hj_solver.hj_direct_solve_batch(nodes, sym_junction, 0.2)),
+        ("solve", lambda: h_cl.evolve_cl(cells, [0.1, 0.2])),
+        ("hj_direct_solve", lambda: h_hj.evolve_hj(nodes, [0.1, 0.2])),
+    ]
+    for name, march in marches:
+        before = dict(calls)
+        assert len(march()) == size
+        assert calls == {**before, name: before[name] + (1 if size == 1 else 0)}, name

@@ -354,6 +354,18 @@ def test_exact_hj_rejects_nonpositive_time(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("datum", ["phi0_hat", "phiA_hat", "phiA_check"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_exact_hj_rejects_nonfinite_time(tmp_path, capsys, datum, value):
+    """A time that is not finite is a config error for every datum, not a CSV of nan or -inf."""
+    cfg = write_config(tmp_path, datum=None)
+    out = tmp_path / "out"
+    rc = main(["exact-hj", "--config", str(cfg), "--datum", datum, f"--time={value}", "--out", str(out)])
+    assert rc == 2
+    assert "time: must be positive" in capsys.readouterr().err
+    assert not (out / "exact_hj.csv").exists()
+
+
 # -- identify-limiter --------------------------------------------------------------
 
 
