@@ -159,9 +159,12 @@ class FluxKernel:
     flux min(D, S) of its cell against a copy of itself; with
     ``plain_edges`` the outer edges carry H of the edge value instead
     (the node scheme's arithmetic; the two differ by at most an ulp near
-    p_crit).  Work arrays are allocated once, so a march allocates
-    nothing of grid size per step; the returned fluxes are the kernel's
-    own buffer, overwritten by the next call.
+    p_crit).  Work arrays are allocated once; per step a march allocates
+    only what ``envelopes`` takes for each side: two boolean masks, one
+    at a time, for a quadratic; one boolean mask for a polygon, and a
+    float work array too when more than one of its segments falls.  The
+    returned fluxes are the kernel's own buffer, overwritten by the next
+    call.
 
     With ``batch_shape`` ``(batch,)`` the kernel takes ``(batch, cells)``
     values, one state a row, and works on the last axis; each row's

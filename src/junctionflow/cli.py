@@ -93,6 +93,12 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+def _config_floats(seq, path: str) -> tuple[float, ...]:
+    if not isinstance(seq, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list of numbers, got {seq!r}")
+    return tuple(config_float(x, path) for x in seq)
+
+
 def _parse_datum(block, a_max: float, path: str = "datum") -> DatumSpec:
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: expected an object, got {type(block).__name__}")
@@ -118,8 +124,8 @@ def _parse_datum(block, a_max: float, path: str = "datum") -> DatumSpec:
         table = block["piecewise_constant"]
         if not isinstance(table, dict):
             raise ConfigError(f"{path}.piecewise_constant: expected an object")
-        breaks = tuple(config_float(x, f"{path}.piecewise_constant.breaks") for x in table.get("breaks", ()))
-        values = tuple(config_float(v, f"{path}.piecewise_constant.values") for v in table.get("values", ()))
+        breaks = _config_floats(table.get("breaks", ()), f"{path}.piecewise_constant.breaks")
+        values = _config_floats(table.get("values", ()), f"{path}.piecewise_constant.values")
         if len(values) != len(breaks) + 1:
             raise ConfigError(
                 f"{path}.piecewise_constant: need len(values) == len(breaks) + 1,"
@@ -181,6 +187,9 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
     cells = _as_int(data.get("cells", 800), "cells")
     if cells < 8:
         raise ConfigError(f"cells: need at least 8, got {cells}")
+    dx = (x_max - x_min) / cells
+    if not (0.0 < dx < math.inf):
+        raise ConfigError(f"domain: [{x_min}, {x_max}] over {cells} cells gives cell width {dx}")
 
     cfl = config_float(data.get("cfl", 0.8), "cfl")
     t_end = config_float(data.get("t_end", 1.0), "t_end")

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from junctionflow import JunctionModel, PiecewiseLinearFlux, QuadraticFlux, run_battery
 from junctionflow.cli import parse_config
@@ -21,6 +22,9 @@ DESK_DOMAIN = (-2.0, 2.0)
 README_SCENARIO = Path(__file__).parent / "data" / "readme_scenario.json"
 
 _ACCEPTANCE_LINES: list[str] = []
+
+# ``pytest --hypothesis-profile=ci``: more examples for the property tests that set no count of their own.
+settings.register_profile("ci", max_examples=500)
 
 
 @dataclass

@@ -268,6 +268,33 @@ def test_solve_rejects_bad_datum_or_times(tmp_path, capsys, subcommand, patch):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        (
+            {"datum": {"piecewise_constant": {"breaks": 5, "values": [0.1, 0.2]}}},
+            "datum.piecewise_constant.breaks: expected a list of numbers, got 5",
+        ),
+        (
+            {"datum": {"piecewise_constant": {"breaks": [0.0], "values": 0.3}}},
+            "datum.piecewise_constant.values: expected a list of numbers, got 0.3",
+        ),
+        (
+            {"datum": {"piecewise_constant": {"breaks": None, "values": [0.1]}}},
+            "datum.piecewise_constant.breaks: expected a list of numbers, got None",
+        ),
+        ({"domain": [-1e308, 1e308]}, "domain: [-1e+308, 1e+308] over 80 cells gives cell width inf"),
+        ({"domain": [-5e-324, 5e-324]}, "domain: [-5e-324, 5e-324] over 80 cells gives cell width 0.0"),
+    ],
+    ids=["breaks-number", "values-number", "breaks-null", "width-overflows", "width-underflows"],
+)
+def test_unusable_datum_table_or_domain_is_a_config_error(tmp_path, capsys, patch, message):
+    """Exit 2 with the field named, not a traceback (exit 1) or a numerical failure (exit 3)."""
+    path = write_config(tmp_path, **patch)
+    assert main(["solve-cl", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
 def test_solve_cl_rejects_hj_datum(tmp_path, capsys):
     cfg = write_config(tmp_path, datum={"name": "phi_hat", "level": 0.1})
     rc = main(["solve-cl", "--config", str(cfg), "--out", str(tmp_path / "out")])
