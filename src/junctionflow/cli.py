@@ -298,7 +298,7 @@ def _write_manifest(out_dir: Path, cfg: ScenarioConfig, subcommand: str, **field
 def _write_xy_csv(path: Path, header: tuple[str, str], xs: np.ndarray, ys: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"{header[0]},{header[1]}\n")
-        fh.writelines(f"{x!r},{y!r}\n" for x, y in zip(xs.tolist(), ys.tolist()))
+        fh.writelines(f"{x},{y}\n" for x, y in zip(formats._float_reprs(xs), formats._float_reprs(ys)))
 
 
 # -- subcommands -------------------------------------------------------------

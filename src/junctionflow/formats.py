@@ -12,12 +12,25 @@ float and no side tag needs quoting), and files are read back with the
 ``csv`` module.  Every row must carry as many fields as the header; read
 against a known grid (the external-process protocol), a file is checked
 row by row: coordinates, side tags and finite values.
+
+``repr``, about 1 µs a float, is most of a write, so the writers format
+each distinct float once.  A row's grid-only text (its coordinate and
+side tag) depends on the grid alone: it is kept for the last grid
+written, cells or nodes, as ``%``-templates of ``_BLOCK_ROWS`` rows
+(about 22 bytes a row), and later snapshots of a solve, or the inputs of
+an external batch, fill it in again.  Only that one grid's text stays
+resident; writing another grid, or its other kind of row, replaces it.
+Values are formatted a block at a time, once per run of bit-identical
+neighbours in the block (compared as ``int64``, so 0.0 and -0.0 stay
+apart); piecewise-constant densities repeat their left neighbour in
+most cells.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,15 +52,57 @@ def _node_sides(grid: Grid) -> list[str]:
     return ["l"] * grid.n_left + ["j"] + ["r"] * grid.n_right
 
 
-def _write_rows(path, header: list[str], xs: np.ndarray, values: np.ndarray, sides: list[str]) -> None:
+# Rows a template of a grid's text holds, and rows of values formatted at
+# a time: long enough that a block's numpy calls and ``write`` cost little
+# per row, short enough that a block's strings are a small tuple.
+_BLOCK_ROWS = 4096
+
+# ((grid, "cells" | "nodes"), templates) of the last grid written.  The
+# templates are a function of the key alone, so callers sharing them see
+# no change in any file; a thread that races another builds them twice.
+_grid_text: tuple = (None, ())
+
+
+def _float_reprs(values: np.ndarray):
+    """``repr`` of each float of ``values``, lazily, formatting each run of bit-identical neighbours once."""
+    values = np.asarray(values, dtype=float)
+    if not values.size:
+        return iter(())
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    lengths = np.diff(starts, prepend=0, append=values.size)
+    firsts = values[np.concatenate(([0], starts))].tolist()
+    return chain.from_iterable(map(repeat, map(repr, firsts), lengths.tolist()))
+
+
+def _row_templates(grid: Grid, what: str) -> tuple[str, ...]:
+    """The ``x,%s,side\r\n`` rows of ``grid``'s cells or nodes, ``_BLOCK_ROWS`` to a string."""
+    global _grid_text
+    key, templates = _grid_text
+    if key != (grid, what):
+        _grid_text, templates = (None, ()), None  # the last grid's text goes before this one's is built
+        if what == "cells":
+            xs, sides = grid.cell_centers(), _cell_sides(grid)
+        else:
+            xs, sides = grid.node_coords(), _node_sides(grid)
+        templates = tuple(
+            "".join(map("{!r},%s,{}\r\n".format, xs[i : i + _BLOCK_ROWS].tolist(), sides[i : i + _BLOCK_ROWS]))
+            for i in range(0, len(xs), _BLOCK_ROWS)
+        )
+        _grid_text = ((grid, what), templates)
+    return templates
+
+
+def _write_rows(path, header: list[str], templates: tuple[str, ...], values: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(f"{x!r},{v!r},{side}\r\n" for x, v, side in zip(xs.tolist(), values.tolist(), sides))
+        for k, template in enumerate(templates):
+            fh.write(template % tuple(_float_reprs(values[k * _BLOCK_ROWS : (k + 1) * _BLOCK_ROWS])))
 
 
 def write_cell_csv(path, state: CellField) -> None:
     """Write cells as rows (x center, density, side)."""
-    _write_rows(path, ["x", "rho", "side"], state.grid.cell_centers(), state.values, _cell_sides(state.grid))
+    _write_rows(path, ["x", "rho", "side"], _row_templates(state.grid, "cells"), state.values)
 
 
 def read_cell_csv(path, grid: Grid | None = None) -> CellField:
@@ -67,7 +122,7 @@ def read_cell_csv(path, grid: Grid | None = None) -> CellField:
 
 def write_node_csv(path, state: NodeField) -> None:
     """Write nodes as rows (x, u, side); the x = 0 node is tagged 'j'."""
-    _write_rows(path, ["x", "u", "side"], state.grid.node_coords(), state.values, _node_sides(state.grid))
+    _write_rows(path, ["x", "u", "side"], _row_templates(state.grid, "nodes"), state.values)
 
 
 def read_node_csv(path, grid: Grid | None = None) -> NodeField:
