@@ -475,7 +475,10 @@ def _cmd_verify(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
 def run(subcommand: str, cfg: ScenarioConfig, output_dir: Path, options: dict | None = None) -> int:
     """Dispatch a parsed config to one subcommand, writing files into output_dir."""
     opts = options or {}
-    output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        output_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output directory {output_dir} cannot be created: {exc.strerror}") from exc
     if subcommand == "riemann":
         return _cmd_riemann(cfg, output_dir, opts)
     if subcommand in ("solve-cl", "solve-hj"):

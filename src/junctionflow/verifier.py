@@ -44,6 +44,16 @@ EXTERNAL_TIMEOUT_S = 600.0
 #: 11-16% longer as one (200, 800) march than in chunks of 40 rows, and chunks of 10 rows
 #: 40% longer: the work arrays outgrow the cache, or the per-step overhead returns.
 BATCH_ENTRIES = 32_768
+# Thread-pool sizes of the OpenMP and BLAS runtimes an external command may load (numpy's
+# OpenBLAS among them): unset, each sizes its pool for the whole machine.
+_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+)
 
 
 @dataclass
@@ -122,9 +132,10 @@ class SemigroupHandle:
     The handle remembers each validated answer, so a (state, time) asked
     again, in the same batch or a later one, starts no call.  The calls
     of one batch are independent and run concurrently, up to one per
-    usable CPU; a failure is reported for the first failing call in
-    (state, time) order.  A call still running after ``timeout`` seconds
-    is killed (``StepError``).
+    usable CPU, each with its share of those CPUs for the thread pools it
+    starts; a failure is reported for the first failing call in (state,
+    time) order.  A command that cannot be started is a ``StepError``, and
+    so is a call still running after ``timeout`` seconds, which is killed.
 
     An ``"hj"`` handle also keeps the runs of the canonical wedge probes
     (``WEDGE_PROBES``), marched in one batch by the first potential check
@@ -209,11 +220,13 @@ class SemigroupHandle:
         """Run the command once per key of ``asks`` and remember each answer it validates.
 
         Inputs are written first, once per state, the calls run on a pool of
-        one thread per usable CPU, and the outputs are read back here in
-        (state, time) order, so the first failure in that order is the one
-        reported and no failed call is remembered.  On a failure the calls
-        not yet started are cancelled and the running ones end within their
-        own timeout before the error leaves this method.
+        one thread per usable CPU (at most one per call), and the outputs are
+        read back here in (state, time) order, so the first failure in that
+        order is the one reported and no failed call is remembered.  On a
+        failure the calls not yet started are cancelled and the running ones
+        end within their own timeout before the error leaves this method.
+        Each call's environment sets every ``_THREAD_VARS`` entry that this
+        process's does not to the usable CPUs over the pool's threads.
         """
         # Imported here: concurrent.futures adds about 6 ms to every command's package import.
         from concurrent.futures import ThreadPoolExecutor
@@ -231,10 +244,13 @@ class SemigroupHandle:
             for k, (key, i) in enumerate(asks.items()):
                 dst = Path(td) / f"state_out_{k}.csv"
                 calls.append(([*self.command, str(Path(td) / f"state_in_{i}.csv"), repr(key[3]), str(dst)], dst, key))
-            pool = ThreadPoolExecutor(max_workers=_usable_cpus())
+            cpus = _usable_cpus()
+            workers = min(cpus, len(calls))
+            env = {**dict.fromkeys(_THREAD_VARS, str(cpus // workers)), **os.environ}
+            pool = ThreadPoolExecutor(max_workers=workers)
             try:
                 futures = [
-                    pool.submit(subprocess.run, argv, capture_output=True, text=True, timeout=self.timeout)
+                    pool.submit(subprocess.run, argv, capture_output=True, text=True, timeout=self.timeout, env=env)
                     for argv, *_ in calls
                 ]
                 for future, (argv, dst, key) in zip(futures, calls):
@@ -242,6 +258,8 @@ class SemigroupHandle:
                         proc = future.result()
                     except subprocess.TimeoutExpired as exc:
                         raise StepError(f"external semi-group {argv[0]} timed out after {self.timeout:g} s") from exc
+                    except OSError as exc:
+                        raise StepError(f"external semi-group {argv[0]} could not be started: {exc}") from exc
                     if proc.returncode != 0:
                         raise StepError(
                             f"external semi-group {argv[0]} exited {proc.returncode}: {proc.stderr.strip()[-500:]}"

@@ -532,6 +532,22 @@ def test_readme_scenario_passes_verify(tmp_path, capsys, readme_scenario):
     assert "ALL CHECKS PASSED (18/18)" in out
 
 
+@pytest.mark.parametrize("command", ["missing", "not-executable"])
+def test_verify_external_that_cannot_start_is_a_numerical_failure(tmp_path, capsys, command):
+    """A command that does not exist, or a file that is not executable, exits 3 with a message, not a traceback."""
+    cfg = write_config(tmp_path, cells=64, datum=None)
+    path = tmp_path / command
+    if command == "not-executable":
+        path.write_text("#!/bin/sh\n")
+        path.chmod(0o644)
+    rc = main(
+        ["verify", "--config", str(cfg), "--out", str(tmp_path / "out"), "--external-hj", str(path),
+         "--l1-trials", "1", "--linf-trials", "1", "--scan-grid", "2"]
+    )
+    assert rc == 3
+    assert f"numerical failure: external semi-group {path} could not be started: " in capsys.readouterr().err
+
+
 def test_verify_hanging_external_times_out(tmp_path, capsys):
     cfg = write_config(tmp_path, cells=64, datum=None)
     script = tmp_path / "hang.py"
@@ -642,6 +658,23 @@ def test_env_var_output_dir(tmp_path, monkeypatch, capsys):
     rc = main(["riemann", "--config", str(cfg)])
     assert rc == 0
     assert (target / "riemann.json").is_file()
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("where", ["file", "under a file"])
+def test_output_dir_that_is_not_a_directory_is_config_error(tmp_path, monkeypatch, capsys, source, where):
+    cfg = write_config(tmp_path)
+    blocker = tmp_path / "results"
+    blocker.write_text("not a directory")
+    target = blocker if where == "file" else blocker / "run"
+    args = ["riemann", "--config", str(cfg)]
+    if source == "flag":
+        args += ["--out", str(target)]
+    else:
+        monkeypatch.setenv("JUNCTIONFLOW_OUT", str(target))
+    assert main(args) == 2
+    assert f"error: output directory {target} cannot be created: " in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory"
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import sys
@@ -404,6 +405,83 @@ def test_external_batch_failure_reports_first_call_and_leaves_no_child(tmp_path,
     for pid in started:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+@pytest.mark.parametrize("command", ["missing", "not-executable"])
+def test_external_command_that_cannot_start_is_a_step_error(tmp_path, sym_junction, command):
+    """Every call fails at once; the first in (state, time) order is reported and no pool thread is left."""
+    path = tmp_path / command
+    if command == "not-executable":
+        path.write_text("#!/bin/sh\n")
+        path.chmod(0o644)
+    external = SemigroupHandle("cl", sym_junction, COARSE_DX, command=(str(path),))
+    states = [riemann_field(external.grid, rho, rho) for rho in (0.5, 0.25, 0.75)]
+    threads = threading.active_count()
+    with pytest.raises(StepError, match=f"external semi-group {path} could not be started: "):
+        external.evolve_cl(states, [0.1, 0.2])
+    assert threading.active_count() == threads
+    assert external._answers == {}
+
+
+# The thread-pool variables every external call is given; the names are the runtimes' own.
+THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+)
+
+# Writes the environment it sees as JSON to a file of its own in the directory argv[1], copies.
+ENV_EXTERNAL = textwrap.dedent(
+    """
+    import json, os, shutil, sys
+    log, src, t, dst = sys.argv[1:]
+    with open(os.path.join(log, str(os.getpid())), "w") as fh:
+        json.dump(dict(os.environ), fh)
+    shutil.copyfile(src, dst)
+    """
+)
+
+
+def _child_environments(tmp_path, junction, monkeypatch, cpus, n_states, n_times) -> list[dict]:
+    """The environment of each call of one batch of n_states x n_times calls on `cpus` usable CPUs."""
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: cpus)
+    script = tmp_path / "env.py"
+    script.write_text(ENV_EXTERNAL)
+    log = tmp_path / "log"
+    log.mkdir()
+    external = SemigroupHandle("cl", junction, COARSE_DX, command=(sys.executable, str(script), str(log)))
+    states = [riemann_field(external.grid, 0.125 * (k + 1), 0.5) for k in range(n_states)]
+    external.evolve_cl(states, [0.1 * (k + 1) for k in range(n_times)])
+    envs = [json.loads(f.read_text()) for f in log.iterdir()]
+    assert len(envs) == n_states * n_times
+    return envs
+
+
+@pytest.mark.parametrize(
+    "cpus, n_states, n_times, threads",
+    [(8, 2, 1, "4"), (8, 1, 3, "2"), (3, 1, 2, "1"), (2, 4, 2, "1"), (1, 2, 2, "1")],
+)
+def test_external_calls_get_their_share_of_the_cpus(tmp_path, sym_junction, monkeypatch, cpus, n_states, n_times, threads):
+    """Each call's thread pools get the usable CPUs over the calls that run at once."""
+    for name in THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for env in _child_environments(tmp_path, sym_junction, monkeypatch, cpus, n_states, n_times):
+        assert {name: env.get(name) for name in THREAD_VARS} == dict.fromkeys(THREAD_VARS, threads)
+
+
+def test_external_calls_keep_the_auditing_environment(tmp_path, sym_junction, monkeypatch):
+    """A thread-pool variable the audit's environment sets reaches the call unchanged, and so does any other."""
+    for name in THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.setenv("JUNCTIONFLOW_TEST_INHERITED", "kept")
+    for env in _child_environments(tmp_path, sym_junction, monkeypatch, 8, 2, 1):
+        assert env["OMP_NUM_THREADS"] == "3"
+        assert {name: env.get(name) for name in THREAD_VARS[1:]} == dict.fromkeys(THREAD_VARS[1:], "4")
+        assert env["JUNCTIONFLOW_TEST_INHERITED"] == "kept"
 
 
 # Appends one line "t sha256-of-input" per call to the file argv[1]; exits 1 if argv[2] is
