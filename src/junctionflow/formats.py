@@ -9,9 +9,10 @@ sits.  A file is written in one streamed pass: the header, then one
 ``x,value,side`` line per row, each ended by ``\r\n``.  These are the
 bytes the ``csv`` module's default writer produces (no ``repr`` of a
 float and no side tag needs quoting), and files are read back with the
-``csv`` module.  Every row must carry as many fields as the header; read
-against a known grid (the external-process protocol), a file is checked
-row by row: coordinates, side tags and finite values.
+``csv`` module.  Every row must carry as many fields as the header, and
+every read is checked row by row against a grid: the one given (the
+external-process protocol), or else the file's own, the grid that wrote
+it.  The checks are coordinates, side tags and finite values.
 
 ``repr``, about 1 µs a float, is most of a write, so the writers format
 each distinct float once.  A row's grid-only text (its coordinate and
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -44,12 +46,11 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _cell_sides(grid: Grid) -> list[str]:
-    return ["l"] * grid.n_left + ["r"] * grid.n_right
-
-
-def _node_sides(grid: Grid) -> list[str]:
-    return ["l"] * grid.n_left + ["j"] + ["r"] * grid.n_right
+def _layout(grid: Grid, kind: str) -> tuple[np.ndarray, list[str]]:
+    """The x coordinate and side tag of each row of ``grid``'s ``kind``, "cells" or "nodes" (the x = 0 node is 'j')."""
+    if kind == "cells":
+        return grid.cell_centers(), ["l"] * grid.n_left + ["r"] * grid.n_right
+    return grid.node_coords(), ["l"] * grid.n_left + ["j"] + ["r"] * grid.n_right
 
 
 # Rows a template of a grid's text holds, and rows of values formatted at
@@ -75,21 +76,18 @@ def _float_reprs(values: np.ndarray):
     return chain.from_iterable(map(repeat, map(repr, firsts), lengths.tolist()))
 
 
-def _row_templates(grid: Grid, what: str) -> tuple[str, ...]:
+def _row_templates(grid: Grid, kind: str) -> tuple[str, ...]:
     """The ``x,%s,side\r\n`` rows of ``grid``'s cells or nodes, ``_BLOCK_ROWS`` to a string."""
     global _grid_text
     key, templates = _grid_text
-    if key != (grid, what):
+    if key != (grid, kind):
         _grid_text, templates = (None, ()), None  # the last grid's text goes before this one's is built
-        if what == "cells":
-            xs, sides = grid.cell_centers(), _cell_sides(grid)
-        else:
-            xs, sides = grid.node_coords(), _node_sides(grid)
+        xs, sides = _layout(grid, kind)
         templates = tuple(
             "".join(map("{!r},%s,{}\r\n".format, xs[i : i + _BLOCK_ROWS].tolist(), sides[i : i + _BLOCK_ROWS]))
             for i in range(0, len(xs), _BLOCK_ROWS)
         )
-        _grid_text = ((grid, what), templates)
+        _grid_text = ((grid, kind), templates)
     return templates
 
 
@@ -106,17 +104,15 @@ def write_cell_csv(path, state: CellField) -> None:
 
 
 def read_cell_csv(path, grid: Grid | None = None) -> CellField:
-    """Read a cell CSV; infer the grid from the centers unless one is given.
+    """Read a cell CSV on ``grid``, or on the grid that wrote it when none is given.
 
-    Against a given grid every row must sit at its cell center (within
-    1e-9 * max(dx, 1)) and, when the file has a side column, carry its
-    side's tag.  Every value must be finite.
+    Every row must sit at its cell center (within 1e-9 * max(dx, 1)) and,
+    when the file has a side column, carry its side's tag.  Every value
+    must be finite.
     """
     xs, vals, sides = _read_rows(path, "rho")
-    if grid is None:
-        grid = _grid_from_centers(xs)
-    else:
-        _check_rows(path, xs, sides, grid, grid.cell_centers(), _cell_sides(grid), "cells")
+    grid = _file_grid(path, xs, "cells") if grid is None else grid
+    _check_rows(path, xs, sides, grid, "cells")
     return CellField(grid=grid, values=vals)
 
 
@@ -128,10 +124,8 @@ def write_node_csv(path, state: NodeField) -> None:
 def read_node_csv(path, grid: Grid | None = None) -> NodeField:
     """Read a node CSV; the same checks as ``read_cell_csv``, against the nodes."""
     xs, vals, sides = _read_rows(path, "u")
-    if grid is None:
-        grid = _grid_from_nodes(xs)
-    else:
-        _check_rows(path, xs, sides, grid, grid.node_coords(), _node_sides(grid), "nodes")
+    grid = _file_grid(path, xs, "nodes") if grid is None else grid
+    _check_rows(path, xs, sides, grid, "nodes")
     return NodeField(grid=grid, values=vals)
 
 
@@ -164,9 +158,10 @@ def _read_rows(path, value_col: str) -> tuple[np.ndarray, np.ndarray, list[str] 
     return np.array(xs), vals, sides if iside is not None else None
 
 
-def _check_rows(path, xs, sides, grid: Grid, expected_x: np.ndarray, expected_sides: list[str], what: str) -> None:
+def _check_rows(path, xs, sides, grid: Grid, kind: str) -> None:
+    expected_x, expected_sides = _layout(grid, kind)
     if len(xs) != len(expected_x):
-        raise GridMismatchError(f"{path}: {len(xs)} rows for a grid with {len(expected_x)} {what}")
+        raise GridMismatchError(f"{path}: {len(xs)} rows for a grid with {len(expected_x)} {kind}")
     # written so that a NaN coordinate fails too
     off = np.flatnonzero(~(np.abs(xs - expected_x) <= 1e-9 * max(grid.dx, 1.0)))
     if off.size:
@@ -177,29 +172,28 @@ def _check_rows(path, xs, sides, grid: Grid, expected_x: np.ndarray, expected_si
         raise GridMismatchError(f"{path}: data row {k + 1} is tagged side {sides[k]!r}, expected {expected_sides[k]!r}")
 
 
-def _uniform_spacing(xs: np.ndarray) -> float:
-    diffs = np.diff(xs)
-    dx = float(np.median(diffs))
-    if dx <= 0.0 or np.any(np.abs(diffs - dx) > 1e-9 * max(dx, 1.0)):
-        raise GridMismatchError("x column is not uniformly spaced")
-    return dx
+def _file_grid(path, xs: np.ndarray, kind: str) -> Grid:
+    """The grid that wrote ``xs``, the x column of a file of ``kind`` rows.
 
-
-def _grid_from_centers(xs: np.ndarray) -> Grid:
-    dx = _uniform_spacing(xs)
-    n_left = int(np.sum(np.asarray(xs) < 0.0))
-    grid = Grid(n_left=n_left, n_right=len(xs) - n_left, dx=dx)
-    if abs(grid.cell_centers()[0] - xs[0]) > 1e-9 * max(dx, 1.0):
-        raise GridMismatchError("cell centers are not aligned with a junction at x = 0")
+    It has a cell left of the junction for each row at x < 0 and one right
+    of it for each row at x > 0.  Its dx is the float nearest the span
+    estimate ``(x[-1] - x[0]) / (rows - 1)`` (cells and nodes alike), and
+    within 2 ulps of it, whose grid puts every row at its x exactly; if
+    none does, the estimate.  ``_check_rows`` then checks the rows against
+    it as against a given grid.
+    """
+    n_left, n_right = int(np.count_nonzero(xs < 0.0)), int(np.count_nonzero(xs > 0.0))
+    try:
+        grid = Grid(n_left, n_right, float((xs[-1] - xs[0]) / (len(xs) - 1)))
+    except GridMismatchError as exc:
+        raise GridMismatchError(f"{path}: the x column fits no grid: {exc}") from None
+    up, down = np.nextafter(grid.dx, np.inf), np.nextafter(grid.dx, 0.0)
+    for dx in (grid.dx, up, down, np.nextafter(up, np.inf), np.nextafter(down, 0.0)):
+        if 0.0 < dx < np.inf:
+            candidate = replace(grid, dx=float(dx))
+            if np.array_equal(_layout(candidate, kind)[0], xs):
+                return candidate
     return grid
-
-
-def _grid_from_nodes(xs: np.ndarray) -> Grid:
-    dx = _uniform_spacing(xs)
-    n_left = int(np.sum(np.asarray(xs) < 0.0))
-    if abs(xs[n_left]) > 1e-9 * max(dx, 1.0):
-        raise GridMismatchError("no node sits at the junction x = 0")
-    return Grid(n_left=n_left, n_right=len(xs) - 1 - n_left, dx=dx)
 
 
 def write_manifest(path, payload: dict) -> None:
