@@ -255,7 +255,10 @@ def plan_steps(t_from: float, t_to: float, dt_max: float) -> tuple[int, float]:
     span = t_to - t_from
     if span <= 0.0:
         return 0, 0.0
-    n = max(1, math.ceil(span / dt_max - 1e-12))
+    steps = span / dt_max
+    if not math.isfinite(steps):
+        raise StepError(f"cannot march {span!r} in steps of at most {dt_max!r}")
+    n = max(1, math.ceil(steps - 1e-12))
     return n, span / n
 
 

@@ -188,7 +188,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
     if cells < 8:
         raise ConfigError(f"cells: need at least 8, got {cells}")
     dx = (x_max - x_min) / cells
-    if not (0.0 < dx < math.inf):
+    if not (sys.float_info.min <= dx < math.inf):  # a subnormal dx no longer fixes the cell centers
         raise ConfigError(f"domain: [{x_min}, {x_max}] over {cells} cells gives cell width {dx}")
 
     cfl = config_float(data.get("cfl", 0.8), "cfl")
@@ -544,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the semi-group property battery", formatter_class=_VerifyHelpFormatter)
     add_common(p, config_required=False)
     for scheme, what, protocol in (
-        ("cl", "density", "invoked as CMD state.csv t out.csv"),
+        ("cl", "density", "invoked as CMD state.csv t out.csv, t the time to march the state"),
         ("hj", "potential", "same protocol, node CSV"),
     ):
         p.add_argument(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -127,8 +128,9 @@ class SemigroupHandle:
     list per state.  With an empty ``command`` the handle marches the
     states as the rows of one array with the in-process solver of its
     scheme; otherwise it shells out to ``command`` once per distinct
-    (state, time), with arguments (input CSV path, time, output CSV
-    path), and reads the result back in the cell or node CSV schema.
+    (state, time), with arguments (input CSV path, time elapsed since the
+    state's time, output CSV path), and reads the result back in the cell
+    or node CSV schema, labelled with the time asked.
     The handle remembers each validated answer, so a (state, time) asked
     again, in the same batch or a later one, starts no call.  The calls
     of one batch are independent and run concurrently, up to one per
@@ -155,6 +157,8 @@ class SemigroupHandle:
     _answers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (WEDGE_PROBES entry, initial potential, its state at WEDGE_T) per probe, filled by _wedge_runs
     _probes: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # (PYTHONPATH of the command's calls, the temporary directory of the package copy it names), set by the first _ask
+    _child_path: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in ("cl", "hj"):
@@ -226,7 +230,9 @@ class SemigroupHandle:
         failure the calls not yet started are cancelled and the running ones
         end within their own timeout before the error leaves this method.
         Each call's environment sets every ``_THREAD_VARS`` entry that this
-        process's does not to the usable CPUs over the pool's threads.
+        process's does not to the usable CPUs over the pool's threads, and
+        takes its ``PYTHONPATH`` from ``_compiled_package_path``, once per
+        handle.  A command is told the time elapsed since its input's time.
         """
         # Imported here: concurrent.futures adds about 6 ms to every command's package import.
         from concurrent.futures import ThreadPoolExecutor
@@ -243,10 +249,15 @@ class SemigroupHandle:
             calls = []
             for k, (key, i) in enumerate(asks.items()):
                 dst = Path(td) / f"state_out_{k}.csv"
-                calls.append(([*self.command, str(Path(td) / f"state_in_{i}.csv"), repr(key[3]), str(dst)], dst, key))
+                elapsed = repr(key[3] - key[1])
+                calls.append(([*self.command, str(Path(td) / f"state_in_{i}.csv"), elapsed, str(dst)], dst, key))
             cpus = _usable_cpus()
             workers = min(cpus, len(calls))
             env = {**dict.fromkeys(_THREAD_VARS, str(cpus // workers)), **os.environ}
+            if not self._child_path:
+                self._child_path.extend(_compiled_package_path(env))
+            if self._child_path[0] is not None:
+                env["PYTHONPATH"] = self._child_path[0]
             pool = ThreadPoolExecutor(max_workers=workers)
             try:
                 futures = [
@@ -272,6 +283,44 @@ class SemigroupHandle:
                     self._answers[key] = state
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _compiled_package_path(env) -> tuple:
+    """``env``'s ``PYTHONPATH`` with a bytecode-compiled copy of this package right before its entry.
+
+    Under ``PYTHONDONTWRITEBYTECODE`` a child compiles the package anew at
+    every import.  If the first ``PYTHONPATH`` entry that holds a
+    ``junctionflow`` holds this one, and no ``PYTHONPYCACHEPREFIX`` moves
+    the bytecode lookups, the package (less its ``__pycache__``) is copied
+    into a temporary directory, compiled there, and that directory goes in
+    just before the entry: a child then imports the same source from the
+    same place in its path, compiled.  Returns (the new ``PYTHONPATH``, the
+    ``TemporaryDirectory``, whose finalizer removes it), else (``None``,
+    ``None``) for ``PYTHONPATH`` passed on as it is.
+    """
+    from importlib.machinery import PathFinder
+
+    path = env.get("PYTHONPATH")
+    if not path or env.get("PYTHONPYCACHEPREFIX") or sys.pycache_prefix:
+        return None, None
+    package = Path(__file__).resolve().parent
+    entries = path.split(os.pathsep)
+    for k, entry in enumerate(entries):
+        spec = PathFinder.find_spec(__package__, [entry])
+        if spec is None:
+            continue
+        if spec.origin is None or Path(spec.origin).resolve().parent != package:
+            return None, None  # the children import another junctionflow
+        import py_compile
+        import shutil
+
+        copies = tempfile.TemporaryDirectory(prefix="junctionflow-pyc-")
+        copy = Path(copies.name) / __package__
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        for source in copy.rglob("*.py"):
+            py_compile.compile(str(source), doraise=True)
+        return os.pathsep.join([*entries[:k], copies.name, *entries[k:]]), copies
+    return None, None
 
 
 def _usable_cpus() -> int:

@@ -93,6 +93,12 @@ def test_plan_steps():
     assert n == 8 and dt == pytest.approx(0.75 / 8, abs=1e-16)
 
 
+@pytest.mark.parametrize("t_to, dt_max", [(1.0, 5e-324), (1e308, 1e-3)])
+def test_plan_steps_refuses_a_step_count_that_overflows(t_to, dt_max):
+    with pytest.raises(StepError, match="cannot march"):
+        plan_steps(0.0, t_to, dt_max)
+
+
 # -- stepping -----------------------------------------------------------------
 
 

@@ -285,14 +285,22 @@ def test_solve_rejects_bad_datum_or_times(tmp_path, capsys, subcommand, patch):
         ),
         ({"domain": [-1e308, 1e308]}, "domain: [-1e+308, 1e+308] over 80 cells gives cell width inf"),
         ({"domain": [-5e-324, 5e-324]}, "domain: [-5e-324, 5e-324] over 80 cells gives cell width 0.0"),
+        ({"domain": [-1e-320, 1e-320], "cells": 8}, "domain: [-1e-320, 1e-320] over 8 cells gives cell width 2.5e-321"),
     ],
-    ids=["breaks-number", "values-number", "breaks-null", "width-overflows", "width-underflows"],
+    ids=["breaks-number", "values-number", "breaks-null", "width-overflows", "width-underflows", "width-subnormal"],
 )
 def test_unusable_datum_table_or_domain_is_a_config_error(tmp_path, capsys, patch, message):
     """Exit 2 with the field named, not a traceback (exit 1) or a numerical failure (exit 3)."""
     path = write_config(tmp_path, **patch)
     assert main(["solve-cl", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"error: {message}\n" in capsys.readouterr().err
+
+
+def test_march_of_too_many_steps_to_count_is_a_numerical_failure(tmp_path, capsys):
+    """t_end / dt_max overflows: exit 3, not an OverflowError traceback (exit 1)."""
+    path = write_config(tmp_path, t_end=1e308)
+    assert main(["solve-cl", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "cannot march 1e+308 in steps of at most" in capsys.readouterr().err
 
 
 def test_solve_cl_rejects_hj_datum(tmp_path, capsys):

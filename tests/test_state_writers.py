@@ -9,10 +9,12 @@ on 0.0 next to -0.0 and on runs of NaN and ±inf, for strided views, for
 two grids written alternately and for equal grids built apart, and when
 a state's values change between two writes on one grid.
 
+The properties run with blocks of ``BLOCK_ROWS`` rows, so that grids of
+a few dozen rows cross block boundaries and an example costs little.
 ``solve-cl`` and ``solve-hj`` still write through the module's two
 names, once a snapshot (the benchmark's tracer counts files there), and
-their outputs on a grid wider than one block are frozen by digest, with
-values taken before the row text was kept.
+their outputs on a grid wider than two blocks of the real size are frozen
+by digest, with values taken before the row text was kept.
 """
 
 from __future__ import annotations
@@ -24,12 +26,22 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from junctionflow import CellField, Grid, NodeField, formats, write_cell_csv, write_node_csv
 from junctionflow.cli import main
-from junctionflow.formats import _BLOCK_ROWS
+
+# Rows a block holds while the properties run, in place of ``formats._BLOCK_ROWS``.
+BLOCK_ROWS = 16
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """``BLOCK_ROWS``-row blocks, and no row text kept from blocks of another size, for one test."""
+    monkeypatch.setattr(formats, "_BLOCK_ROWS", BLOCK_ROWS)
+    monkeypatch.setattr(formats, "_grid_text", (None, ()))
 
 
 def _fmt(v: float) -> str:
@@ -76,18 +88,19 @@ def grids(draw, min_rows: int, max_rows: int):
 
 
 # More than two blocks of rows; and up to one block boundary, where width is not the point.
-wide_grids = grids(2 * _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + _BLOCK_ROWS // 4)
-small_grids = grids(2, _BLOCK_ROWS + _BLOCK_ROWS // 4)
+wide_grids = grids(2 * BLOCK_ROWS + 1, 2 * BLOCK_ROWS + BLOCK_ROWS // 4)
+small_grids = grids(2, BLOCK_ROWS + BLOCK_ROWS // 4)
 
 
 @st.composite
-def runs(draw, size: int, values=run_value, max_length: int = 3 * _BLOCK_ROWS // 2) -> np.ndarray:
+def runs(draw, size: int, values=run_value, max_length: int = 3 * BLOCK_ROWS // 2) -> np.ndarray:
     """``size`` values: a pattern of up to 12 runs, repeated; long runs cross block boundaries."""
     pieces = draw(st.lists(st.tuples(values, st.integers(1, max_length)), min_size=1, max_size=12))
     pattern = np.repeat(np.array([v for v, _ in pieces], dtype=float), [k for _, k in pieces])
     return np.resize(pattern, size)
 
 
+@pytest.mark.usefixtures("small_blocks")
 @settings(deadline=None)
 @given(st.data())
 def test_wide_grids_with_runs_across_blocks_match_the_reference(data):
@@ -96,6 +109,7 @@ def test_wide_grids_with_runs_across_blocks_match_the_reference(data):
     _assert_reference_bytes(NodeField(grid, data.draw(runs(grid.n_cells + 1))))
 
 
+@pytest.mark.usefixtures("small_blocks")
 @settings(deadline=None)
 @given(st.data())
 def test_signed_zeros_nans_and_infinities_match_the_reference(data):
@@ -106,6 +120,7 @@ def test_signed_zeros_nans_and_infinities_match_the_reference(data):
     _assert_reference_bytes(NodeField(grid, values))
 
 
+@pytest.mark.usefixtures("small_blocks")
 @settings(deadline=None)
 @given(st.data())
 def test_strided_views_match_the_reference(data):
@@ -119,6 +134,7 @@ def test_strided_views_match_the_reference(data):
     _assert_reference_bytes(NodeField(grid, nodes))
 
 
+@pytest.mark.usefixtures("small_blocks")
 @settings(deadline=None)
 @given(st.data())
 def test_two_grids_written_alternately_and_equal_grids_built_apart_match_the_reference(data):
@@ -134,6 +150,7 @@ def test_two_grids_written_alternately_and_equal_grids_built_apart_match_the_ref
         _assert_reference_bytes(state)
 
 
+@pytest.mark.usefixtures("small_blocks")
 @settings(deadline=None)
 @given(st.data())
 def test_values_changed_between_two_writes_on_one_grid_match_the_reference(data):
@@ -149,7 +166,7 @@ def test_values_changed_between_two_writes_on_one_grid_match_the_reference(data)
 
 # -- the CLI's solve files: one write a snapshot, and their bytes ---------------------------------
 
-SOLVE_CELLS = 10_001  # more than two blocks of rows
+SOLVE_CELLS = 10_001  # more than two blocks of formats._BLOCK_ROWS = 4096 rows
 SOLVE_SCENARIO = {
     "flux_left": {"kind": "quadratic", "rmax": 1.0, "hmax": 0.25},
     "flux_right": {"kind": "piecewise_linear", "points": [[0, 0], [0.5, 0.25], [1, 0]]},
@@ -212,6 +229,7 @@ FROZEN_SOLVE_DIGESTS = {
 
 
 def test_solve_files_on_a_grid_wider_than_a_block_are_frozen(tmp_path):
+    assert SOLVE_CELLS > 2 * formats._BLOCK_ROWS  # the real block size
     digests = {}
     for command in SOLVE_DATA:
         for path in sorted(_solve(tmp_path, command).iterdir()):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import sys
 import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +336,21 @@ def test_external_batch_matches_internal_bitwise(tmp_path, sym_junction):
             assert run_theirs[k].time == t
 
 
+def test_external_command_is_told_the_elapsed_time(tmp_path, sym_junction):
+    """A state at t = 0.5 marched to t = 1.0 through the command is the internal march, bitwise."""
+    script = tmp_path / "ext.py"
+    script.write_text(REFERENCE_EXTERNAL)
+    grid = Grid.from_domain(-2.0, 2.0, 128)
+    internal = SemigroupHandle("cl", model=sym_junction, dx=grid.dx)
+    external = SemigroupHandle("cl", model=sym_junction, dx=grid.dx, command=(sys.executable, str(script)))
+    half = internal.evolve_cl([riemann_field(grid, 0.6, 0.3)], [0.5])[0][-1]
+    assert half.time == 0.5
+    ours = internal.evolve_cl([half], [1.0])[0][-1]
+    theirs = external.evolve_cl([half], [1.0])[0][-1]
+    np.testing.assert_array_equal(ours.values, theirs.values)
+    assert theirs.time == 1.0
+
+
 # Logs its pid, start and end times to a file of its own in the directory argv[1], sleeps, copies.
 STAMP_EXTERNAL = textwrap.dedent(
     """
@@ -445,11 +463,13 @@ ENV_EXTERNAL = textwrap.dedent(
 )
 
 
-def _child_environments(tmp_path, junction, monkeypatch, cpus, n_states, n_times) -> list[dict]:
+def _child_environments(
+    tmp_path, junction, monkeypatch, cpus, n_states, n_times, source: str = ENV_EXTERNAL
+) -> list[dict]:
     """The environment of each call of one batch of n_states x n_times calls on `cpus` usable CPUs."""
     monkeypatch.setattr(verifier, "_usable_cpus", lambda: cpus)
     script = tmp_path / "env.py"
-    script.write_text(ENV_EXTERNAL)
+    script.write_text(source)
     log = tmp_path / "log"
     log.mkdir()
     external = SemigroupHandle("cl", junction, COARSE_DX, command=(sys.executable, str(script), str(log)))
@@ -482,6 +502,113 @@ def test_external_calls_keep_the_auditing_environment(tmp_path, sym_junction, mo
         assert env["OMP_NUM_THREADS"] == "3"
         assert {name: env.get(name) for name in THREAD_VARS[1:]} == dict.fromkeys(THREAD_VARS[1:], "4")
         assert env["JUNCTIONFLOW_TEST_INHERITED"] == "kept"
+
+
+# The directory whose junctionflow the tests import, and its package directory.
+PACKAGE = Path(verifier.__file__).resolve().parent
+ROOT = PACKAGE.parent
+
+# ENV_EXTERNAL's record after importing junctionflow, with where the package came from,
+# whether its bytecode file was there, and the digest of each of its modules.
+IMPORT_EXTERNAL = textwrap.dedent(
+    """
+    import hashlib, json, os, pathlib, shutil, sys
+    import junctionflow
+    log, src, t, dst = sys.argv[1:]
+    env = dict(os.environ)
+    env["junctionflow"] = [junctionflow.__file__, os.path.isfile(junctionflow.__cached__)]
+    modules = pathlib.Path(junctionflow.__file__).parent.glob("*.py")
+    env["modules"] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in modules}
+    with open(os.path.join(log, str(os.getpid())), "w") as fh:
+        json.dump(env, fh)
+    shutil.copyfile(src, dst)
+    """
+)
+
+
+def _package_listing() -> list[str]:
+    return sorted(str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*"))
+
+
+@pytest.fixture
+def bytecode_environment(monkeypatch):
+    """The package's directory on PYTHONPATH, no bytecode written, no pycache prefix."""
+    monkeypatch.setenv("PYTHONPATH", str(ROOT))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
+
+
+def test_external_calls_import_a_compiled_copy_of_the_package(
+    tmp_path, sym_junction, monkeypatch, bytecode_environment
+):
+    """Put right before the user's entry for the package, among the user's other entries; the package gains no file."""
+    before, after = tmp_path / "before", tmp_path / "after"
+    user_path = os.pathsep.join([str(before), str(ROOT), str(after)])
+    monkeypatch.setenv("PYTHONPATH", user_path)
+    listing = _package_listing()
+    sources = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in PACKAGE.glob("*.py")}
+    envs = _child_environments(tmp_path, sym_junction, monkeypatch, 2, 1, 2, source=IMPORT_EXTERNAL)
+    assert _package_listing() == listing
+    paths = {env["PYTHONPATH"] for env in envs}
+    assert len(paths) == 1
+    entries = paths.pop().split(os.pathsep)
+    copy = Path(entries.pop(1))
+    assert os.pathsep.join(entries) == user_path
+    assert copy.resolve() not in (ROOT, before, after)
+    for env in envs:
+        imported, cached = env["junctionflow"]
+        assert Path(imported) == copy / "junctionflow" / "__init__.py" and cached
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert env["modules"] == sources
+    assert not copy.exists()  # removed with the handle
+
+
+def test_one_handle_compiles_the_package_once(tmp_path, sym_junction, monkeypatch, bytecode_environment):
+    import py_compile
+
+    compiled = []
+    compile_ = py_compile.compile
+
+    def counted(source, **kwargs):
+        compiled.append(source)
+        return compile_(source, **kwargs)
+
+    monkeypatch.setattr(py_compile, "compile", counted)
+    external, log = _logging_handle(tmp_path, sym_junction)
+    state = riemann_field(external.grid, 0.5, 0.25)
+    external.evolve_cl([state], [0.1])
+    modules = len(compiled)
+    assert modules == len(list(PACKAGE.glob("*.py")))
+    copy = external._child_path[1].name
+    external.evolve_cl([state], [0.2, 0.3])
+    assert len(compiled) == modules and external._child_path[1].name == copy and len(_calls(log)) == 3
+    fresh = dataclasses.replace(external)
+    fresh.evolve_cl([state], [0.1])
+    assert len(compiled) == 2 * modules and fresh._child_path[1].name != copy
+
+
+@pytest.mark.parametrize("case", ["not-on-path", "earlier-entry-has-another", "pycache-prefix", "unset"])
+def test_external_calls_keep_pythonpath_where_a_copy_would_not_stand_in(
+    tmp_path, sym_junction, monkeypatch, bytecode_environment, case
+):
+    """The root not on PYTHONPATH, another junctionflow found first, a pycache prefix set, or no PYTHONPATH at all."""
+    other = tmp_path / "other"
+    (other / "junctionflow").mkdir(parents=True)
+    (other / "junctionflow" / "__init__.py").touch()
+    user_path = {
+        "not-on-path": str(tmp_path / "elsewhere"),
+        "earlier-entry-has-another": os.pathsep.join([str(other), str(ROOT)]),
+        "pycache-prefix": str(ROOT),
+        "unset": None,
+    }[case]
+    if user_path is None:
+        monkeypatch.delenv("PYTHONPATH")
+    else:
+        monkeypatch.setenv("PYTHONPATH", user_path)
+    if case == "pycache-prefix":
+        monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
+    for env in _child_environments(tmp_path, sym_junction, monkeypatch, 2, 1, 2):
+        assert env.get("PYTHONPATH") == user_path
 
 
 # Appends one line "t sha256-of-input" per call to the file argv[1]; exits 1 if argv[2] is
