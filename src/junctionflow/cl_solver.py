@@ -12,9 +12,11 @@ shared width on both sides, and every update runs under the CFL bound
 dt <= cfl * dx / L with L = max |H'| over both fluxes.
 
 ``FluxKernel`` computes the interface fluxes: each distinct flux
-validated and clamped once per step, demand and supply once per cell.
-The node scheme of ``hj_solver`` steps with the same kernel applied to
-slopes.
+clipped once per step, demand and supply once per cell.  The node
+scheme of ``hj_solver`` steps with the same kernel applied to slopes.
+A march checks its datum's range once, at entry: under the CFL bound
+the scheme is monotone, so its states stay inside [0, R] up to the
+round-off that each step's clip absorbs, and no step checks again.
 ``_march_cells`` is the one density march, building a ``CellField``
 only at snapshots; ``solve``, ``solve_batch`` (states of one grid as
 the rows of one array, bit for bit their ``solve`` runs) and ``step``
@@ -150,10 +152,12 @@ def godunov_flux(flux: ConcaveFlux, a, b):
 class FluxKernel:
     """Interface fluxes of a junction on a grid: the update shared by both schemes.
 
-    A call validates and clamps ``values`` (densities, or the slopes of
-    a potential) once per distinct flux, then evaluates demand D and
-    supply S once per cell: a junction with one flux on both sides
-    takes all cells in one pass, any other one pass a side.  Interior
+    A call clips ``values`` (densities, or the slopes of a potential)
+    to [0, R] once per distinct flux, without a range check: the march
+    checked its datum at entry, and a monotone step leaves only
+    round-off outside.  It then evaluates demand D and supply S once per
+    cell: a junction with one flux on both sides takes all cells in one
+    pass, any other one pass a side.  Interior
     interfaces carry min(D[:-1], S[1:]), the junction
     min(A, D_left[-1], S_right[0]), and each outer edge the Godunov
     flux min(D, S) of its cell against a copy of itself; with
@@ -183,28 +187,14 @@ class FluxKernel:
         # index tuples built once: the inner loop indexes with them every step
         nl = self.n_left
         self._halves = ((j.left, np.s_[..., :nl]), (j.right, np.s_[..., nl:]))
-        # one flux on both sides: clamp and envelopes take all cells in one pass
+        # one flux on both sides: clip and envelopes take all cells in one pass
         self._sides = ((j.left, np.s_[...]),) if j.left == j.right else self._halves
-        self._inner = (
-            (np.s_[..., : nl - 1], np.s_[..., 1:nl]),
-            (np.s_[..., nl:-1], np.s_[..., nl + 1 :]),
-        )
-        self._inner_fluxes = (np.s_[..., 1:nl], np.s_[..., nl + 1 : -1])
 
     def clamp(self, values: np.ndarray) -> np.ndarray:
-        """Validate and clamp each side of ``values`` into the kernel's work buffer.
-
-        A bad entry is reported as a left-then-right scan of the halves
-        finds it, also when one pass took both halves.
-        """
+        """Clip each side of ``values`` to [0, R] into the kernel's work buffer; no range check."""
         p = self._clamped
-        try:
-            for flux, side in self._sides:
-                flux.clamp(values[side], out=p[side])
-        except DomainError:
-            for flux, side in self._halves:
-                flux.clamp(values[side])
-            raise
+        for flux, side in self._sides:
+            np.clip(values[side], 0.0, flux.rmax, out=p[side])
         return p
 
     def __call__(self, values: np.ndarray, plain_edges: bool = False) -> np.ndarray:
@@ -212,8 +202,8 @@ class FluxKernel:
         p, d, s, f = self.clamp(values), self._demand, self._supply, self._fluxes
         for flux, side in self._sides:
             flux.envelopes(p[side], d[side], s[side])
-        for (dem, sup), out in zip(self._inner, self._inner_fluxes):
-            np.minimum(d[dem], s[sup], out=f[out])
+        # every interior interface in one pass; the junction's entry is overwritten below
+        np.minimum(d[..., :-1], s[..., 1:], out=f[..., 1:-1])
         if p.ndim == 1:
             f[nl] = min(j.limiter, d[nl - 1], s[nl])
             if plain_edges:
@@ -256,7 +246,8 @@ def plan_steps(t_from: float, t_to: float, dt_max: float) -> tuple[int, float]:
     if span <= 0.0:
         return 0, 0.0
     steps = span / dt_max
-    if not math.isfinite(steps):
+    # past 2**53 a float step count is not exact, so span / n would miss t_to; no such march ends anyway
+    if not steps <= 2.0**53:
         raise StepError(f"cannot march {span!r} in steps of at most {dt_max!r}")
     n = max(1, math.ceil(steps - 1e-12))
     return n, span / n
@@ -354,11 +345,14 @@ def solve_batch(
 def _march_cells(states: Sequence[CellField], j: JunctionModel, legs: Sequence[Leg], v: np.ndarray):
     """Validate and march ``v``, the values of ``states`` (one 1-D array, or one a row), in place.
 
-    Returns one snapshot list per state, a snapshot at each leg's end.
+    The range check runs once, here, on the left halves and then the
+    right halves; the steps only clip.  Returns one snapshot list per
+    state, a snapshot at each leg's end.
     """
     grid = states[0].grid
     kernel = FluxKernel(j, grid, v.shape[:-1])
-    kernel.clamp(v)
+    for flux, side in kernel._halves:
+        flux.clamp(v[side], out=kernel._clamped[side])
     dx = grid.dx
     dv = np.empty_like(v)
     right_of, left_of = np.s_[..., 1:], np.s_[..., :-1]

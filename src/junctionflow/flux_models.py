@@ -32,9 +32,11 @@ conjugate and ``canonical_eval`` take floats or arrays (float in, float
 out; array in, array out, each entry bit for bit the scalar call) and
 validate every call, reporting the first offending entry of an array;
 ``envelopes`` is the unvalidated form of demand and supply for the
-schemes' inner loop, which clamps once per distinct flux per step
-(``cl_solver.FluxKernel``) and then needs demand and supply of the same
-cells, bit for bit as ``demand``/``supply`` give them.
+schemes' inner loop.  A march checks its datum once, at entry (``clamp``
+for densities, ``hj_solver.validate_lip`` for slopes); each step then
+only clips, once per distinct flux (``cl_solver.FluxKernel``), and
+needs demand and supply of the same cells, bit for bit as
+``demand``/``supply`` give them.
 
 The polygon evaluates its envelopes branch by branch: demand from the
 rising segments only, supply from the falling ones only, segment j as
@@ -192,7 +194,7 @@ class ConcaveFlux:
 
         Bit for bit the values of ``demand``/``supply``, which evaluate H
         at min(p, p_crit) and max(p, p_crit), but without validation: the
-        inner loop of the schemes, which clamp once per step.  The
+        inner loop of the schemes, which clip once per step.  The
         quadratic evaluates H(p) once and copies its peak into each
         envelope's flat side; the polygon writes each envelope from its
         own monotone branch, segment by segment (see the module

@@ -225,8 +225,8 @@ def hj_direct_solve(
     one-sided slopes, the junction node by the capped exchange, and the
     outer nodes by the plain flux of their single available slope.
     Slopes are validated against the Lip class (tolerance 1e-9, NaN
-    rejected) on entry, so a march of no steps rejects a bad datum too,
-    and clamped once per step.
+    rejected) on entry, so a march of no steps rejects a bad datum too;
+    each step only clips their round-off, with no range check.
     """
     legs = plan_march(j, u0.grid.dx, t_end, cfl, snapshot_times, t0=u0.time)
     return _march_nodes([u0], j, legs, u0.values.copy())[0]

@@ -91,10 +91,12 @@ def test_plan_steps():
     assert (n, dt) == (0, 0.0)
     n, dt = plan_steps(0.25, 1.0, 0.1)
     assert n == 8 and dt == pytest.approx(0.75 / 8, abs=1e-16)
+    assert plan_steps(0.0, 2.0**52, 1.0) == (2**52, 1.0)  # still an exact float count
 
 
-@pytest.mark.parametrize("t_to, dt_max", [(1.0, 5e-324), (1e308, 1e-3)])
+@pytest.mark.parametrize("t_to, dt_max", [(1.0, 5e-324), (1e308, 1e-3), (2.0**54, 1.0)])
 def test_plan_steps_refuses_a_step_count_that_overflows(t_to, dt_max):
+    """Past 2**53 steps a float count is no longer exact, and no such march ends."""
     with pytest.raises(StepError, match="cannot march"):
         plan_steps(0.0, t_to, dt_max)
 

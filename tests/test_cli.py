@@ -303,6 +303,18 @@ def test_march_of_too_many_steps_to_count_is_a_numerical_failure(tmp_path, capsy
     assert "cannot march 1e+308 in steps of at most" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "patch", [{"t_end": 1e20}, {"domain": [-1e-300, 1e-300]}], ids=["long-time", "tiny-cells"]
+)
+def test_march_of_more_steps_than_can_end_is_refused_at_once(tmp_path, patch):
+    """About 1e20 (resp. 5e300) steps: exit 3 from the planner, not a march that runs until killed."""
+    path = write_config(tmp_path, cells=8, **patch)
+    command = [sys.executable, "-m", "junctionflow.cli", "solve-cl", "--config", str(path), "--out", str(tmp_path)]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert "cannot march" in proc.stderr
+
+
 def test_solve_cl_rejects_hj_datum(tmp_path, capsys):
     cfg = write_config(tmp_path, datum={"name": "phi_hat", "level": 0.1})
     rc = main(["solve-cl", "--config", str(cfg), "--out", str(tmp_path / "out")])

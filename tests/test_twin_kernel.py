@@ -1,7 +1,7 @@
 """One flux on both sides: the kernel's one-pass path against the per-side references.
 
 When the junction's two fluxes are equal, ``cl_solver.FluxKernel``
-clamps and evaluates the envelopes of all cells in one pass instead of
+clips and evaluates the envelopes of all cells in one pass instead of
 one pass a side.  The marches below run on such twin junctions, with
 data that holds ``-0.0``, single and batched.  They must agree with
 ``test_kernel``'s verbatim references as ``test_kernel`` compares, and
@@ -239,12 +239,47 @@ def flux_calls(monkeypatch):
 @pytest.mark.parametrize("batch_shape", [(), (3,)])
 @pytest.mark.parametrize("plain_edges", [False, True])
 @pytest.mark.parametrize("two_flux", [False, True], ids=["twin", "two-flux"])
-def test_one_flux_pass_per_distinct_flux(flux_calls, sym_junction, readme_junction, two_flux, batch_shape, plain_edges):
+def test_one_flux_pass_per_distinct_flux(
+    flux_calls, monkeypatch, sym_junction, readme_junction, two_flux, batch_shape, plain_edges
+):
     twin = JunctionModel(sym_junction.left, dataclasses.replace(sym_junction.left), sym_junction.limiter)
     j = readme_junction if two_flux else twin
     grid = Grid(n_left=6, n_right=5, dx=0.1)
     kernel = FluxKernel(j, grid, batch_shape)
     values = np.random.default_rng(0).uniform(0.0, 1.0, (*batch_shape, grid.n_cells))
+    clip, clips = np.clip, []
+
+    def counted_clip(*args, **kwargs):
+        clips.append(args)
+        return clip(*args, **kwargs)
+
+    monkeypatch.setattr(np, "clip", counted_clip)
     kernel(values, plain_edges=plain_edges)
     passes = 2 if two_flux else 1
-    assert flux_calls == {"clamp": passes, "envelopes": passes}
+    # the range check runs where a march enters; a kernel call only clips
+    assert flux_calls == {"clamp": 0, "envelopes": passes}
+    assert len(clips) == passes
+
+
+@pytest.mark.parametrize("two_flux", [False, True], ids=["twin", "two-flux"])
+def test_clamp_calls_do_not_grow_with_the_steps(flux_calls, sym_junction, readme_junction, two_flux):
+    """A march checks its datum once, at entry: one step and twelve make the same ``clamp`` calls."""
+    j = readme_junction if two_flux else sym_junction
+    grid = Grid(n_left=6, n_right=5, dx=0.1)
+    rng = np.random.default_rng(1)
+    cells = [CellField(grid, rng.uniform(0.0, 1.0, grid.n_cells)) for _ in range(3)]
+    u0 = NodeField(grid, np.concatenate([[0.0], grid.dx * np.cumsum(cells[0].values)]))
+    dt = 0.8 * grid.dx / j.lipschitz_bound
+
+    def clamps(march, *args) -> int:
+        flux_calls["clamp"] = 0
+        march(*args)
+        return flux_calls["clamp"]
+
+    for n in (1, 12):
+        assert {
+            "solve": clamps(solve, cells[0], j, n * dt),
+            "solve_batch": clamps(solve_batch, cells, j, n * dt),
+            "step": clamps(step, cells[0], j, dt),
+            "hj_direct_solve": clamps(hj_direct_solve, u0, j, n * dt),
+        } == {"solve": 2, "solve_batch": 2, "step": 2, "hj_direct_solve": 0}
