@@ -31,6 +31,7 @@ the verifier's step counts and the CLI manifests read their legs from it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -52,8 +53,8 @@ class Grid:
     def __post_init__(self):
         if self.n_left < 1 or self.n_right < 1:
             raise GridMismatchError("need at least one cell on each side of the junction")
-        if not (self.dx > 0.0 and math.isfinite(self.dx)):
-            raise GridMismatchError(f"dx must be positive, got {self.dx}")
+        if not (sys.float_info.min <= self.dx < math.inf):  # a subnormal dx does not fix the cell centers
+            raise GridMismatchError(f"dx must be positive, finite and not subnormal, got {self.dx}")
 
     @classmethod
     def from_domain(cls, x_min: float, x_max: float, n_cells: int) -> "Grid":

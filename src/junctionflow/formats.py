@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import replace
 from itertools import chain, repeat
 from pathlib import Path
@@ -189,7 +190,7 @@ def _file_grid(path, xs: np.ndarray, kind: str) -> Grid:
         raise GridMismatchError(f"{path}: the x column fits no grid: {exc}") from None
     up, down = np.nextafter(grid.dx, np.inf), np.nextafter(grid.dx, 0.0)
     for dx in (grid.dx, up, down, np.nextafter(up, np.inf), np.nextafter(down, 0.0)):
-        if 0.0 < dx < np.inf:
+        if sys.float_info.min <= dx < np.inf:
             candidate = replace(grid, dx=float(dx))
             if np.array_equal(_layout(candidate, kind)[0], xs):
                 return candidate

@@ -156,8 +156,9 @@ def exact_roof_drain(j: JunctionModel, level: ArrayLike, t: ArrayLike, x: ArrayL
     The roof's slopes carry exactly ``level`` on both sides and the
     junction passes it, so the whole profile translates downward.
     """
+    t = _check_time(t)
     datum = CanonicalDatum(shape=DatumShape.PHI_HAT, level=level)
-    return float_or_array(canonical_eval(datum, j, x) - np.asarray(t, dtype=float) * datum.level)
+    return float_or_array(canonical_eval(datum, j, x) - t * datum.level)
 
 
 def exact_valley_capped(j: JunctionModel, level: ArrayLike, t: ArrayLike, x: ArrayLike) -> ArrayLike:
@@ -169,7 +170,7 @@ def exact_valley_capped(j: JunctionModel, level: ArrayLike, t: ArrayLike, x: Arr
     maximum of the two candidate drains (max of solutions is a solution
     for concave Hamiltonians).
     """
-    t = np.asarray(t, dtype=float)
+    t = _check_time(t)
     valley = CanonicalDatum(shape=DatumShape.PHI_CHECK, level=level)
     roof = CanonicalDatum(shape=DatumShape.PHI_HAT, level=j.limiter)
     down = canonical_eval(valley, j, x) - t * valley.level

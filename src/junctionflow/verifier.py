@@ -24,6 +24,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from pathlib import Path
 from typing import Sequence
@@ -127,23 +128,23 @@ class SemigroupHandle:
     sequence of states on one grid at one time and return one snapshot
     list per state.  With an empty ``command`` the handle marches the
     states as the rows of one array with the in-process solver of its
-    scheme; otherwise it shells out to ``command`` once per distinct
-    (state, time), with arguments (input CSV path, time elapsed since the
-    state's time, output CSV path), and reads the result back in the cell
-    or node CSV schema, labelled with the time asked.
-    The handle remembers each validated answer, so a (state, time) asked
-    again, in the same batch or a later one, starts no call.  The calls
-    of one batch are independent and run concurrently, up to one per
-    usable CPU, each with its share of those CPUs for the thread pools it
-    starts; a failure is reported for the first failing call in (state,
-    time) order.  A command that cannot be started is a ``StepError``, and
-    so is a call still running after ``timeout`` seconds, which is killed.
+    scheme; otherwise it shells out to ``command`` once per (state, time),
+    with arguments (input CSV path, time elapsed since the state's time,
+    output CSV path), and reads the result back in the cell or node CSV
+    schema, labelled with the time asked.  Each (state, time) asked is one
+    call, however often it was asked before.  The calls of one batch are
+    independent and run concurrently, up to one per usable CPU, each with
+    its share of those CPUs for the thread pools it starts; a failure is
+    reported for the first failing call in (state, time) order.  A command
+    that cannot be started is a ``StepError``, and so is a call still
+    running after ``timeout`` seconds, which is killed.
 
-    An ``"hj"`` handle also keeps the runs of the canonical wedge probes
-    (``WEDGE_PROBES``), marched in one batch by the first potential check
-    that reads them.  Remembered answers and probe runs hold only for the
-    parameters the handle was built with, so the handle is frozen;
-    ``dataclasses.replace`` makes a new handle with empty stores.
+    The fields are the handle's parameters, and it is frozen.  What it
+    keeps is derived from them on first use: an external handle's
+    ``_child_path`` and an ``"hj"`` handle's ``_probes``, the runs of the
+    canonical wedge probes (``WEDGE_PROBES``), marched in one batch by the
+    first potential check that reads them.  ``dataclasses.replace`` makes
+    a new handle that keeps nothing yet.
     """
 
     scheme: str
@@ -153,12 +154,6 @@ class SemigroupHandle:
     cfl: float = 0.8
     command: tuple[str, ...] = ()
     timeout: float = EXTERNAL_TIMEOUT_S
-    # (grid, start time, state bytes, time) -> the command's validated answer
-    _answers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (WEDGE_PROBES entry, initial potential, its state at WEDGE_T) per probe, filled by _wedge_runs
-    _probes: list = field(default_factory=list, init=False, repr=False, compare=False)
-    # (PYTHONPATH of the command's calls, the temporary directory of the package copy it names), set by the first _ask
-    _child_path: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in ("cl", "hj"):
@@ -202,60 +197,43 @@ class SemigroupHandle:
         return out
 
     def _evolve_external(self, states, snapshot_times):
-        """Snapshots from one command call per distinct (state, time) this handle has not answered yet.
+        """Snapshots from one command call per (state, time), read back in (state, time) order.
 
-        A semi-group maps one datum and one time to one answer, so each
-        validated answer is remembered, and a (state, time) already asked,
-        in this batch or an earlier one, starts no call.  Each snapshot
-        returned is a copy of the remembered one.
-        """
-        grid = states[0].grid
-        keys = [[(grid, s.time, s.values.tobytes(), float(t)) for t in snapshot_times] for s in states]
-        asks = {}  # key -> index of the first state that asks it, in (state, time) order
-        for i, row in enumerate(keys):
-            for key in row:
-                if key not in self._answers:
-                    asks.setdefault(key, i)
-        if asks:
-            self._ask(states, asks)
-        return [[self._answers[key].copy() for key in row] for row in keys]
-
-    def _ask(self, states, asks):
-        """Run the command once per key of ``asks`` and remember each answer it validates.
-
-        Inputs are written first, once per state, the calls run on a pool of
-        one thread per usable CPU (at most one per call), and the outputs are
-        read back here in (state, time) order, so the first failure in that
-        order is the one reported and no failed call is remembered.  On a
-        failure the calls not yet started are cancelled and the running ones
-        end within their own timeout before the error leaves this method.
-        Each call's environment sets every ``_THREAD_VARS`` entry that this
-        process's does not to the usable CPUs over the pool's threads, and
-        takes its ``PYTHONPATH`` from ``_compiled_package_path``, once per
-        handle.  A command is told the time elapsed since its input's time.
+        Inputs are written first, once per state, and the calls run on a pool
+        of one thread per usable CPU (at most one per call), so the first
+        failure in (state, time) order is the one reported.  On a failure the
+        calls not yet started are cancelled and the running ones end within
+        their own timeout before the error leaves this method.  Each call's
+        environment sets every ``_THREAD_VARS`` entry that this process's does
+        not to the usable CPUs over the pool's threads, and takes its
+        ``PYTHONPATH`` from ``_child_path``.  A command is told the time
+        elapsed since its input's time.
         """
         # Imported here: concurrent.futures adds about 6 ms to every command's package import.
         from concurrent.futures import ThreadPoolExecutor
 
         from . import formats
 
+        times = [float(t) for t in snapshot_times]
+        out = [[] for _ in states]
+        if not times:
+            return out
         if self.scheme == "cl":
             write, read = formats.write_cell_csv, formats.read_cell_csv
         else:
             write, read = formats.write_node_csv, formats.read_node_csv
+        grid = states[0].grid
         with tempfile.TemporaryDirectory(prefix="junctionflow-ext-") as td:
-            for i in set(asks.values()):
-                write(Path(td) / f"state_in_{i}.csv", states[i])
             calls = []
-            for k, (key, i) in enumerate(asks.items()):
-                dst = Path(td) / f"state_out_{k}.csv"
-                elapsed = repr(key[3] - key[1])
-                calls.append(([*self.command, str(Path(td) / f"state_in_{i}.csv"), elapsed, str(dst)], dst, key))
+            for i, state in enumerate(states):
+                src = Path(td) / f"state_in_{i}.csv"
+                write(src, state)
+                for k, t in enumerate(times):
+                    dst = Path(td) / f"state_out_{i}_{k}.csv"
+                    calls.append(([*self.command, str(src), repr(t - state.time), str(dst)], dst, t, out[i]))
             cpus = _usable_cpus()
             workers = min(cpus, len(calls))
             env = {**dict.fromkeys(_THREAD_VARS, str(cpus // workers)), **os.environ}
-            if not self._child_path:
-                self._child_path.extend(_compiled_package_path(env))
             if self._child_path[0] is not None:
                 env["PYTHONPATH"] = self._child_path[0]
             pool = ThreadPoolExecutor(max_workers=workers)
@@ -264,7 +242,7 @@ class SemigroupHandle:
                     pool.submit(subprocess.run, argv, capture_output=True, text=True, timeout=self.timeout, env=env)
                     for argv, *_ in calls
                 ]
-                for future, (argv, dst, key) in zip(futures, calls):
+                for future, (argv, dst, t, snapshots) in zip(futures, calls):
                     try:
                         proc = future.result()
                     except subprocess.TimeoutExpired as exc:
@@ -276,51 +254,63 @@ class SemigroupHandle:
                             f"external semi-group {argv[0]} exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
                         )
                     try:
-                        state = read(dst, grid=key[0])
+                        state = read(dst, grid=grid)
                     except (OSError, ValueError) as exc:
                         raise StepError(f"external semi-group {argv[0]} wrote an unusable state: {exc}") from exc
-                    state.time = key[3]
-                    self._answers[key] = state
+                    state.time = t
+                    snapshots.append(state)
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
+        return out
 
+    @cached_property
+    def _child_path(self) -> tuple:
+        """(the ``PYTHONPATH`` of the command's calls, the package copy it names), made once per handle.
 
-def _compiled_package_path(env) -> tuple:
-    """``env``'s ``PYTHONPATH`` with a bytecode-compiled copy of this package right before its entry.
+        Under ``PYTHONDONTWRITEBYTECODE`` a child compiles the package anew at
+        every import.  If the first ``PYTHONPATH`` entry that holds a
+        ``junctionflow`` holds this one, and no ``PYTHONPYCACHEPREFIX`` moves
+        the bytecode lookups, the package (less its ``__pycache__``) is copied
+        into a temporary directory, compiled there, and that directory goes in
+        just before the entry: a child then imports the same source from the
+        same place in its path, compiled.  The ``TemporaryDirectory``'s
+        finalizer removes the copy.  (``None``, ``None``) passes
+        ``PYTHONPATH`` on as it is.
+        """
+        from importlib.machinery import PathFinder
 
-    Under ``PYTHONDONTWRITEBYTECODE`` a child compiles the package anew at
-    every import.  If the first ``PYTHONPATH`` entry that holds a
-    ``junctionflow`` holds this one, and no ``PYTHONPYCACHEPREFIX`` moves
-    the bytecode lookups, the package (less its ``__pycache__``) is copied
-    into a temporary directory, compiled there, and that directory goes in
-    just before the entry: a child then imports the same source from the
-    same place in its path, compiled.  Returns (the new ``PYTHONPATH``, the
-    ``TemporaryDirectory``, whose finalizer removes it), else (``None``,
-    ``None``) for ``PYTHONPATH`` passed on as it is.
-    """
-    from importlib.machinery import PathFinder
+        path = os.environ.get("PYTHONPATH")
+        if not path or os.environ.get("PYTHONPYCACHEPREFIX") or sys.pycache_prefix:
+            return None, None
+        package = Path(__file__).resolve().parent
+        entries = path.split(os.pathsep)
+        for k, entry in enumerate(entries):
+            spec = PathFinder.find_spec(__package__, [entry])
+            if spec is None:
+                continue
+            if spec.origin is None or Path(spec.origin).resolve().parent != package:
+                return None, None  # the children import another junctionflow
+            import py_compile
+            import shutil
 
-    path = env.get("PYTHONPATH")
-    if not path or env.get("PYTHONPYCACHEPREFIX") or sys.pycache_prefix:
+            copies = tempfile.TemporaryDirectory(prefix="junctionflow-pyc-")
+            copy = Path(copies.name) / __package__
+            shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+            for source in copy.rglob("*.py"):
+                py_compile.compile(str(source), doraise=True)
+            return os.pathsep.join([*entries[:k], copies.name, *entries[k:]]), copies
         return None, None
-    package = Path(__file__).resolve().parent
-    entries = path.split(os.pathsep)
-    for k, entry in enumerate(entries):
-        spec = PathFinder.find_spec(__package__, [entry])
-        if spec is None:
-            continue
-        if spec.origin is None or Path(spec.origin).resolve().parent != package:
-            return None, None  # the children import another junctionflow
-        import py_compile
-        import shutil
 
-        copies = tempfile.TemporaryDirectory(prefix="junctionflow-pyc-")
-        copy = Path(copies.name) / __package__
-        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        for source in copy.rglob("*.py"):
-            py_compile.compile(str(source), doraise=True)
-        return os.pathsep.join([*entries[:k], copies.name, *entries[k:]]), copies
-    return None, None
+    @cached_property
+    def _probes(self) -> list:
+        """(``WEDGE_PROBES`` entry, initial potential, its state at ``WEDGE_T``) per probe, in one batch."""
+        grid, a_max = self.grid, self.model.a_max
+        data = [
+            hj.canonical_node_field(grid, self.model, CanonicalDatum(shape=s, level=frac * a_max))
+            for s, frac in WEDGE_PROBES
+        ]
+        runs = self.evolve_hj(data, [WEDGE_T])
+        return list(zip(WEDGE_PROBES, data, (run[-1] for run in runs)))
 
 
 def _usable_cpus() -> int:
@@ -634,18 +624,11 @@ def _wedge_runs(h: SemigroupHandle, shape: DatumShape) -> list[tuple[float, hj.N
     """(level, initial potential, state at WEDGE_T) of each probe of ``shape`` on ``h``, in table order.
 
     The first call on a handle marches all four probes in one ``evolve_hj``
-    batch and keeps the runs in the handle; later calls read them.  A row
-    of a batch is bit for bit its solo run, so each check reads what a
+    batch, which the handle keeps as ``_probes``; later calls read them.  A
+    row of a batch is bit for bit its solo run, so each check reads what a
     march of its own probes alone would give.
     """
     a_max = h.model.a_max
-    if not h._probes:
-        grid = h.grid
-        data = [
-            hj.canonical_node_field(grid, h.model, CanonicalDatum(shape=s, level=frac * a_max)) for s, frac in WEDGE_PROBES
-        ]
-        runs = h.evolve_hj(data, [WEDGE_T])
-        h._probes.extend(zip(WEDGE_PROBES, data, (run[-1] for run in runs)))
     return [(frac * a_max, u0, out) for (s, frac), u0, out in h._probes if s is shape]
 
 

@@ -467,7 +467,12 @@ def test_array_validation_reports_the_first_bad_entry_like_the_scalar_call():
 
     for bad in (0.0, -1.0, math.inf, math.nan):
         times = np.array([1.0, bad, -2.0])
-        for oracle, first in ((exact_roof0_uncapped, ()), (exact_roof0_capped, (0.1,))):
+        for oracle, first in (
+            (exact_roof0_uncapped, ()),
+            (exact_roof0_capped, (0.1,)),
+            (exact_roof_drain, (0.1,)),
+            (exact_valley_capped, (0.1,)),
+        ):
             assert _message(oracle, j, *first, times, 0.0) == _message(oracle, j, *first, bad, 0.0)
     for bad, exc in ((-0.1, DomainError), (math.nan, DomainError), (0.3, LevelError)):
         levels = np.array([0.1, bad])

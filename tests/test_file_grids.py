@@ -9,6 +9,7 @@ one: coordinates within roundoff, side tags, finite values.
 
 from __future__ import annotations
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -125,3 +126,31 @@ def test_inferred_read_of_a_reversed_x_column(tmp_path):
     _rewrite(path, lambda rows: rows[::-1])
     with pytest.raises(GridMismatchError, match="the x column fits no grid: dx must be positive"):
         read_cell_csv(path)
+
+
+def test_grid_rejects_a_subnormal_dx():
+    """Cell centers do not fix a subnormal dx: Grid(1, 1, 5e-324) and Grid(1, 1, 1e-323) would write one file."""
+    for dx in (5e-324, 1e-323, float(np.nextafter(sys.float_info.min, 0.0))):
+        with pytest.raises(GridMismatchError, match="dx must be positive, finite and not subnormal"):
+            Grid(1, 1, dx)
+    assert Grid(1, 1, sys.float_info.min).dx == sys.float_info.min
+
+
+def _write_x_column(path, xs):
+    path.write_text("x,rho,side\n" + "".join(f"{x!r},0.5,{'l' if x < 0 else 'r'}\n" for x in xs))
+
+
+def test_inferred_read_of_a_subnormal_span(tmp_path):
+    path = tmp_path / "cells.csv"
+    _write_x_column(path, [-5e-324, 5e-324])
+    message = "the x column fits no grid: dx must be positive, finite and not subnormal"
+    with pytest.raises(GridMismatchError, match=message):
+        read_cell_csv(path)
+
+
+def test_inferred_read_skips_subnormal_candidates(tmp_path):
+    """A span estimate of the smallest normal dx, whose rows no candidate reproduces: the ones below are skipped."""
+    tiny = sys.float_info.min
+    path = tmp_path / "cells.csv"
+    _write_x_column(path, [-tiny / 4, 3 * tiny / 4])
+    assert read_cell_csv(path).grid == Grid(1, 1, tiny)

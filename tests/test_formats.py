@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -209,7 +210,7 @@ any_float = st.sampled_from(SPECIAL) | st.floats()
 @st.composite
 def grids_with_values(draw):
     """A small grid with a random dx, and values for its cells and its nodes."""
-    grid = Grid(draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.floats(5e-324, 1e300)))
+    grid = Grid(draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.floats(sys.float_info.min, 1e300)))
     cells = draw(st.lists(any_float, min_size=grid.n_cells, max_size=grid.n_cells))
     nodes = draw(st.lists(any_float, min_size=grid.n_cells + 1, max_size=grid.n_cells + 1))
     return grid, np.array(cells), np.array(nodes)

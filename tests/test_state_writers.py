@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -84,7 +85,7 @@ def grids(draw, min_rows: int, max_rows: int):
     """A grid of ``min_rows`` to ``max_rows`` cells and a random dx."""
     n_cells = draw(st.integers(min_rows, max_rows))
     n_left = draw(st.integers(1, n_cells - 1))
-    return Grid(n_left, n_cells - n_left, draw(st.floats(5e-324, 1e300)))
+    return Grid(n_left, n_cells - n_left, draw(st.floats(sys.float_info.min, 1e300)))
 
 
 # More than two blocks of rows; and up to one block boundary, where width is not the point.

@@ -438,7 +438,7 @@ def test_external_command_that_cannot_start_is_a_step_error(tmp_path, sym_juncti
     with pytest.raises(StepError, match=f"external semi-group {path} could not be started: "):
         external.evolve_cl(states, [0.1, 0.2])
     assert threading.active_count() == threads
-    assert external._answers == {}
+    assert _kept(external) == {"_child_path"}
 
 
 # The thread-pool variables every external call is given; the names are the runtimes' own.
@@ -640,40 +640,30 @@ def _calls(log) -> list[str]:
     return log.read_text().splitlines()
 
 
-def test_external_answers_are_remembered(tmp_path, sym_junction):
-    """A repeated (state, time), in one batch or across evolves, starts one call; new data or times start new ones."""
+def _kept(handle) -> set[str]:
+    """The names of what a handle keeps beyond its parameters."""
+    return set(vars(handle)) - {f.name for f in dataclasses.fields(handle)}
+
+
+def test_each_external_ask_is_one_call(tmp_path, sym_junction):
+    """A (state, time) repeated in one batch, and again in a later evolve, starts a call each time."""
     external, log = _logging_handle(tmp_path, sym_junction)
     state = riemann_field(external.grid, 0.5, 0.25)
-    runs = external.evolve_cl([state, state.copy()], [0.1])
-    assert len(_calls(log)) == 1
-    assert runs[0][0] is not runs[1][0]
-    for run in runs:
-        np.testing.assert_array_equal(run[0].values, state.values)
-        assert run[0].time == 0.1
-    again = external.evolve_cl([state.copy()], [0.1])
-    assert len(_calls(log)) == 1
-    np.testing.assert_array_equal(again[0][0].values, state.values)
-
-    external.evolve_cl([state], [0.1, 0.2])  # one new time
-    assert len(_calls(log)) == 2
-    nudged = state.copy()
-    nudged.values[3] = np.nextafter(nudged.values[3], 1.0)  # one ulp apart
-    theirs = external.evolve_cl([nudged], [0.1])
-    assert len(_calls(log)) == 3
-    np.testing.assert_array_equal(theirs[0][0].values, nudged.values)
-    assert len(set(_calls(log))) == 3
+    runs = external.evolve_cl([state, state.copy()], [0.1, 0.1])
+    again = external.evolve_cl([state], [0.1])
+    assert len(_calls(log)) == 5 and len(set(_calls(log))) == 1
+    answers = [snapshot for run in runs + again for snapshot in run]
+    assert len({id(a) for a in answers}) == len({id(a.values) for a in answers}) == 5
+    for answer in answers:
+        np.testing.assert_array_equal(answer.values, state.values)
+        assert answer.time == 0.1
 
 
-def test_external_answers_are_returned_as_copies(tmp_path, sym_junction):
-    external, log = _logging_handle(tmp_path, sym_junction, scheme="hj")
-    u0 = NodeField(external.grid, 0.25 * external.grid.node_coords())
-    first = external.evolve_hj([u0], [0.1])[0][0]
-    first.values[:] = 99.0
-    first.time = 7.0
-    second = external.evolve_hj([u0], [0.1])[0][0]
-    np.testing.assert_array_equal(second.values, u0.values)
-    assert second.time == 0.1
-    assert len(_calls(log)) == 1
+def test_external_evolve_with_no_times_starts_no_call(tmp_path, sym_junction):
+    external, log = _logging_handle(tmp_path, sym_junction)
+    state = riemann_field(external.grid, 0.5, 0.25)
+    assert external.evolve_cl([state, state], []) == [[], []]
+    assert _calls(log) == [] and _kept(external) == set()
 
 
 def test_failed_external_call_is_asked_again(tmp_path, sym_junction):
@@ -717,6 +707,21 @@ def test_battery_asks_external_hj_each_state_and_time_once(tmp_path, sym_junctio
     assert report.all_passed, report.summary_lines()
     calls = _calls(log)
     assert len(set(calls)) == len(calls) == 28
+
+
+# Copies its input and appends "t sha256-of-input" to the file $1, as LOGGING_EXTERNAL does, without starting Python.
+SH_LOGGING_EXTERNAL = 'echo "$3 $(sha256sum < "$2")" >> "$1"; cp "$2" "$4"'
+
+
+def test_battery_asks_external_cl_each_state_and_time_once(tmp_path, sym_junction):
+    """No two density checks ask the same (state, time) of a 2-state germ scan's battery."""
+    log = tmp_path / "calls.log"
+    log.touch()
+    command = ("sh", "-c", SH_LOGGING_EXTERNAL, "sh", str(log))
+    external = SemigroupHandle("cl", sym_junction, COARSE_DX, command=command)
+    run_battery(sym_junction, dx=COARSE_DX, l1_trials=1, linf_trials=1, scan_grid_n=2, cl_handle=external)
+    calls = _calls(log)
+    assert len(set(calls)) == len(calls) == 100
 
 
 @pytest.mark.parametrize("command", [(), (sys.executable, "-c", "pass")])

@@ -24,7 +24,7 @@ from junctionflow.verifier import (
     check_locality,
     check_supersolution_floor,
 )
-from test_verifier import _calls, _logging_handle
+from test_verifier import _calls, _kept, _logging_handle
 
 DX = 1.0 / 50.0
 WEDGE_CHECKS = (check_duality, check_supersolution_floor, check_hj_exact_agreement)
@@ -93,7 +93,7 @@ def test_failed_probe_march_is_asked_again(tmp_path, sym_junction):
     for check in (check_hj_exact_agreement, identify_limiter_hj):
         with pytest.raises(StepError, match="asked to fail"):
             check(external)
-        assert external._probes == []
+        assert "_probes" not in vars(external)
         assert len(_calls(log)) > asked  # the batch's calls run concurrently: at least one started
         asked = len(_calls(log))
 
@@ -110,12 +110,17 @@ def test_handle_parameters_cannot_be_assigned(sym_junction, name, value):
         setattr(h, name, value)
 
 
+def test_handle_fields_are_its_parameters():
+    names = [f.name for f in dataclasses.fields(SemigroupHandle)]
+    assert names == ["scheme", "model", "dx", "domain", "cfl", "command", "timeout"]
+
+
 def test_replaced_handle_starts_with_empty_stores(sym_junction, evolve_hj_calls):
     h = SemigroupHandle("hj", sym_junction, DX)
     check_duality(h)
     assert h._probes
     twin = dataclasses.replace(h, dx=DX / 2)
-    assert twin._probes == [] and twin._answers == {} and h._probes
+    assert _kept(twin) == set() and h._probes
     assert "dx=0.01" in check_hj_exact_agreement(twin).scenario
     assert evolve_hj_calls == [(len(WEDGE_PROBES), (WEDGE_T,))] * 2
 
