@@ -659,6 +659,19 @@ def test_each_external_ask_is_one_call(tmp_path, sym_junction):
         assert answer.time == 0.1
 
 
+def test_external_answers_are_returned_as_copies(tmp_path, sym_junction):
+    """An answer the caller changes leaves a later answer to the same ask untouched."""
+    external, log = _logging_handle(tmp_path, sym_junction, scheme="hj")
+    u0 = NodeField(external.grid, 0.25 * external.grid.node_coords())
+    first = external.evolve_hj([u0], [0.1])[0][0]
+    first.values[:] = 99.0
+    first.time = 7.0
+    second = external.evolve_hj([u0], [0.1])[0][0]
+    np.testing.assert_array_equal(second.values, u0.values)
+    assert second.time == 0.1
+    assert len(_calls(log)) == 2
+
+
 def test_external_evolve_with_no_times_starts_no_call(tmp_path, sym_junction):
     external, log = _logging_handle(tmp_path, sym_junction)
     state = riemann_field(external.grid, 0.5, 0.25)
