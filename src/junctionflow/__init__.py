@@ -9,6 +9,8 @@ executable battery of semi-group properties, and a CLI that runs all of
 it from JSON scenario configs.
 """
 
+import types
+
 from .errors import ConfigError, DomainError, GridMismatchError, LevelError, StepError
 from .flux_models import (
     BOUNDARY_TOL,
@@ -101,69 +103,9 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOUNDARY_TOL",
-    "CanonicalDatum",
-    "CellField",
-    "CheckRecord",
-    "ConcaveFlux",
-    "ConfigError",
-    "DatumShape",
-    "DomainError",
-    "GermScanResult",
-    "Grid",
-    "GridMismatchError",
-    "JunctionModel",
-    "LevelError",
-    "NodeField",
-    "PiecewiseLinearFlux",
-    "QuadraticFlux",
-    "SemigroupHandle",
-    "StepError",
-    "TracePair",
-    "VerificationReport",
-    "canonical_eval",
-    "canonical_field",
-    "canonical_node_field",
-    "classical_riemann",
-    "empirical_germ_scan",
-    "exact_roof0_capped",
-    "exact_roof0_uncapped",
-    "exact_roof_drain",
-    "exact_valley_capped",
-    "field_from_function",
-    "flux_from_config",
-    "germ_contains",
-    "germ_dissipative",
-    "godunov_flux",
-    "hj_direct_solve",
-    "hj_direct_solve_batch",
-    "hj_from_cl",
-    "identify_limiter_cl",
-    "identify_limiter_hj",
-    "junction_flux",
-    "kruzhkov_flux",
-    "l1_distance",
-    "mass",
-    "node_field_from_function",
-    "plan_march",
-    "plan_steps",
-    "random_cell_field",
-    "random_node_field",
-    "read_cell_csv",
-    "read_manifest",
-    "read_node_csv",
-    "riemann_field",
-    "riemann_profile",
-    "riemann_traces",
-    "run_battery",
-    "solve",
-    "solve_batch",
-    "step",
-    "sup_distance",
-    "trace_estimate",
-    "validate_lip",
-    "write_cell_csv",
-    "write_manifest",
-    "write_node_csv",
-]
+# The public names: those the imports above bind (their submodules aside) and the verifier's.
+__all__ = sorted(
+    {name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, types.ModuleType))}
+    | set(_VERIFIER_NAMES)
+)
+del types

@@ -582,7 +582,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             cfg = parse_config_dict(DEFAULT_CONFIG)
         out_dir = resolve_output_dir(args.out)
-        opts = {k.replace("-", "_"): v for k, v in vars(args).items() if k not in ("command", "config", "out")}
+        opts = {k: v for k, v in vars(args).items() if k not in ("command", "config", "out")}
         return run(args.command, cfg, out_dir, opts)
     except (ConfigError, DomainError, LevelError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,7 +49,9 @@ import numpy as np
 
 from .cl_solver import CellField, FluxKernel, Grid, Leg, batch_start, plan_march
 from .errors import DomainError, GridMismatchError
-from .flux_models import ArrayLike, CanonicalDatum, DatumShape, canonical_eval, first_entry, float_or_array
+from .flux_models import (
+    BOUNDARY_TOL, ArrayLike, CanonicalDatum, DatumShape, canonical_eval, first_entry, float_or_array,
+)
 from .junction import JunctionModel
 
 
@@ -89,12 +91,12 @@ def canonical_node_field(grid: Grid, j: JunctionModel, datum: CanonicalDatum) ->
     return node_field_from_function(grid, lambda x: canonical_eval(datum, j, x))
 
 
-def validate_lip(u: NodeField, j: JunctionModel, tol: float = 1e-9) -> None:
-    """Check the discrete Lip class: slopes within [-tol, R + tol] per side (NaN fails)."""
+def validate_lip(u: NodeField, j: JunctionModel) -> None:
+    """Check the discrete Lip class: slopes within [-BOUNDARY_TOL, R + BOUNDARY_TOL] per side (NaN fails)."""
     p = u.slopes()
     nl = u.grid.n_left
     for side, flux in ((p[:nl], j.left), (p[nl:], j.right)):
-        if side.size and not (side.min() >= -tol and side.max() <= flux.rmax + tol):
+        if side.size and not (side.min() >= -BOUNDARY_TOL and side.max() <= flux.rmax + BOUNDARY_TOL):
             raise DomainError(
                 f"slopes span [{side.min()}, {side.max()}], outside [0, {flux.rmax}] beyond tolerance"
             )

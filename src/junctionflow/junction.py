@@ -121,7 +121,7 @@ def kruzhkov_flux(flux: ConcaveFlux, a: ArrayLike, b: ArrayLike) -> ArrayLike:
     return float_or_array(np.where(a == b, 0.0, np.copysign(1.0, a - b) * (flux.eval(a) - flux.eval(b))))
 
 
-def germ_dissipative(j: JunctionModel, p1, p2, tol: float | None = None) -> ArrayLike:
+def germ_dissipative(j: JunctionModel, p1, p2) -> ArrayLike:
     """Entropy dissipation margin between two admissible trace pairs.
 
     Returns Phi_left(q1-, q2-) - Phi_right(q1+, q2+); admissibility of
@@ -132,7 +132,7 @@ def germ_dissipative(j: JunctionModel, p1, p2, tol: float | None = None) -> Arra
     """
     for name, p in (("p1", p1), ("p2", p2)):
         qm, qp = np.broadcast_arrays(*_unpack(p))
-        inside = germ_contains(j, (qm, qp), tol)
+        inside = germ_contains(j, (qm, qp))
         if not np.all(inside):
             k = int(np.argmin(inside))  # first non-member
             raise ValueError(f"{name}=({qm.flat[k]}, {qp.flat[k]}) is not an admissible trace pair")

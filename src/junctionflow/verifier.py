@@ -186,17 +186,18 @@ class SemigroupHandle:
         return self._evolve(hj.hj_direct_solve_batch, states, snapshot_times)
 
     def _evolve(self, march_batch, states, snapshot_times):
-        cl.batch_start(states)  # the whole batch: chunks are checked one at a time
+        grid, t0 = cl.batch_start(states)  # the whole request: chunks are checked one at a time
+        t_end = max(snapshot_times, default=t0)
+        times = cl.check_march(self.cfl, t_end, snapshot_times, t0)
         if self.command:
-            return self._evolve_external(states, snapshot_times)
+            return self._evolve_external(states, grid, times)
         rows = max(1, BATCH_ENTRIES // states[0].values.size)
-        t_end = max(snapshot_times)
         out = []
         for k in range(0, len(states), rows):
-            out += march_batch(states[k : k + rows], self.model, t_end, cfl=self.cfl, snapshot_times=snapshot_times)
+            out += march_batch(states[k : k + rows], self.model, t_end, cfl=self.cfl, snapshot_times=times)
         return out
 
-    def _evolve_external(self, states, snapshot_times):
+    def _evolve_external(self, states, grid, times):
         """Snapshots from one command call per (state, time), read back in (state, time) order.
 
         Inputs are written first, once per state, and the calls run on a pool
@@ -214,7 +215,6 @@ class SemigroupHandle:
 
         from . import formats
 
-        times = [float(t) for t in snapshot_times]
         out = [[] for _ in states]
         if not times:
             return out
@@ -222,7 +222,6 @@ class SemigroupHandle:
             write, read = formats.write_cell_csv, formats.read_cell_csv
         else:
             write, read = formats.write_node_csv, formats.read_node_csv
-        grid = states[0].grid
         with tempfile.TemporaryDirectory(prefix="junctionflow-ext-") as td:
             calls = []
             for i, state in enumerate(states):

@@ -3,11 +3,14 @@
 ``SemigroupHandle.evolve_cl``/``evolve_hj`` march a batch of states as
 the rows of one array.  Each row must equal ``solve``/``hj_direct_solve``
 of its state alone: values, time and, for densities, both flux-time
-integrals; a bad entry in any state of the batch must still be rejected.
+integrals; a bad entry in any state of the batch must still be rejected,
+and so must a list of times the single run refuses, before any march or
+external call.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -164,3 +167,58 @@ def test_large_batches_march_in_chunks(sym_junction, monkeypatch):
                 b.left_flux_time_integral,
                 b.right_flux_time_integral,
             )
+
+
+# -- the times of a request are checked before any march or call ----------------------
+
+
+def _handle(kind, scheme, j, log):
+    """The in-process handle, or an external one whose command copies its input and logs each call's time."""
+    handle = SemigroupHandle(scheme, model=j)
+    if kind == "internal":
+        return handle
+    return dataclasses.replace(handle, command=("sh", "-c", 'echo "$2" >> "$0" && cp "$1" "$3"', str(log)))
+
+
+def _states(scheme, time=0.0):
+    grid = Grid(n_left=10, n_right=10, dx=0.1)
+    if scheme == "cl":
+        return [CellField(grid, np.full(20, v), time) for v in (0.2, 0.4)]
+    return [NodeField(grid, v * grid.node_coords(), time) for v in (0.2, 0.4)]
+
+
+def _run(handle, states, times):
+    return (handle.evolve_cl if handle.scheme == "cl" else handle.evolve_hj)(states, times)
+
+
+@pytest.mark.parametrize("scheme", ["cl", "hj"])
+@pytest.mark.parametrize("kind", ["internal", "external"])
+def test_a_request_with_no_times_gets_empty_snapshot_lists(sym_junction, tmp_path, kind, scheme):
+    log = tmp_path / "calls.log"
+    handle = _handle(kind, scheme, sym_junction, log)
+    assert _run(handle, _states(scheme), []) == [[], []]
+    assert not log.exists()
+    runs = _run(handle, _states(scheme), [0.1])
+    assert [[s.time for s in run] for run in runs] == [[0.1], [0.1]]
+    calls = log.read_text().split() if log.exists() else []  # the log sees every call the command gets
+    assert calls == (["0.1", "0.1"] if kind == "external" else [])
+
+
+@pytest.mark.parametrize(
+    "start, times",
+    [(0.0, [0.2, 0.1]), (0.0, [-0.5]), (0.0, [math.nan]), (0.0, [math.inf]), (0.5, [0.2])],
+    ids=["decreasing", "negative", "nan", "inf", "before-the-states"],
+)
+@pytest.mark.parametrize("scheme", ["cl", "hj"])
+@pytest.mark.parametrize("kind", ["internal", "external"])
+def test_a_bad_request_is_refused_before_any_call(sym_junction, tmp_path, kind, scheme, start, times):
+    """Both handles raise the in-process solver's StepError, and the external one starts no command."""
+    states = _states(scheme, start)
+    single = solve if scheme == "cl" else hj_direct_solve
+    with pytest.raises(StepError) as expected:
+        single(states[0], sym_junction, max(times), snapshot_times=times)
+    log = tmp_path / "calls.log"
+    with pytest.raises(StepError) as got:
+        _run(_handle(kind, scheme, sym_junction, log), states, times)
+    assert str(got.value) == str(expected.value)
+    assert not log.exists()

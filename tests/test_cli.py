@@ -315,11 +315,30 @@ def test_march_of_more_steps_than_can_end_is_refused_at_once(tmp_path, patch):
     assert "cannot march" in proc.stderr
 
 
-def test_solve_cl_rejects_hj_datum(tmp_path, capsys):
-    cfg = write_config(tmp_path, datum={"name": "phi_hat", "level": 0.1})
-    rc = main(["solve-cl", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert rc == 2
+_DATA = {
+    "riemann": {"name": "riemann", "left": 0.5, "right": 0.5},
+    **{shape: {"name": shape, "level": 0.1} for shape in ("phi_hat", "phi_check", "psi_hat", "psi_check")},
+    "piecewise_constant": {"piecewise_constant": {"breaks": [0.0], "values": [0.2, 0.6]}},
+    "piecewise_linear": {"piecewise_linear": {"points": [[-2.0, 0.0], [0.0, 1.0], [2.0, 1.2]]}},
+    "none": None,
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand, datum",
+    [
+        *(("solve-hj", name) for name in ("riemann", "psi_hat", "piecewise_constant", "none")),
+        *(("solve-cl", name) for name in ("phi_hat", "piecewise_linear", "none")),
+        *(("riemann", name) for name in _DATA if name not in ("riemann", "none")),
+    ],
+)
+def test_datum_of_another_solve_is_a_config_error(tmp_path, capsys, subcommand, datum):
+    """Exit 2 before any output; the message is the datum's or its field's, so it is not pinned."""
+    path = write_config(tmp_path, datum=_DATA[datum])
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_piecewise_datums(tmp_path):
@@ -729,6 +748,29 @@ def test_console_script_subprocess(tmp_path):
     assert proc.returncode == 0
     header = json.loads(proc.stdout.strip().splitlines()[-1])
     assert header["in_germ"] is True
+
+
+# The public API, spelled out: the package derives ``__all__`` from its imports, so a
+# name added or dropped there shows up here and must be edited in on purpose.
+PUBLIC_NAMES = [
+    "BOUNDARY_TOL", "CanonicalDatum", "CellField", "CheckRecord", "ConcaveFlux", "ConfigError", "DatumShape",
+    "DomainError", "GermScanResult", "Grid", "GridMismatchError", "JunctionModel", "LevelError", "NodeField",
+    "PiecewiseLinearFlux", "QuadraticFlux", "SemigroupHandle", "StepError", "TracePair", "VerificationReport",
+    "canonical_eval", "canonical_field", "canonical_node_field", "classical_riemann", "empirical_germ_scan",
+    "exact_roof0_capped", "exact_roof0_uncapped", "exact_roof_drain", "exact_valley_capped",
+    "field_from_function", "flux_from_config", "germ_contains", "germ_dissipative", "godunov_flux",
+    "hj_direct_solve", "hj_direct_solve_batch", "hj_from_cl", "identify_limiter_cl", "identify_limiter_hj",
+    "junction_flux", "kruzhkov_flux", "l1_distance", "mass", "node_field_from_function", "plan_march",
+    "plan_steps", "random_cell_field", "random_node_field", "read_cell_csv", "read_manifest", "read_node_csv",
+    "riemann_field", "riemann_profile", "riemann_traces", "run_battery", "solve", "solve_batch", "step",
+    "sup_distance", "trace_estimate", "validate_lip", "write_cell_csv", "write_manifest", "write_node_csv",
+]
+
+
+def test_public_names_are_the_declared_list():
+    import junctionflow
+
+    assert junctionflow.__all__ == PUBLIC_NAMES
 
 
 # Run in a fresh interpreter: the test session itself has long since imported the verifier.
