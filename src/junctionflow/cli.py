@@ -298,7 +298,10 @@ def _write_manifest(out_dir: Path, cfg: ScenarioConfig, subcommand: str, **field
 def _write_xy_csv(path: Path, header: tuple[str, str], xs: np.ndarray, ys: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"{header[0]},{header[1]}\n")
-        fh.writelines(f"{x},{y}\n" for x, y in zip(formats._float_reprs(xs), formats._float_reprs(ys)))
+        for k in range(0, len(xs), formats._BLOCK_ROWS):
+            block = slice(k, k + formats._BLOCK_ROWS)
+            rows = zip(formats._float_reprs(xs[block]), formats._float_reprs(ys[block]))
+            fh.write("".join([f"{x},{y}\n" for x, y in rows]))
 
 
 # -- subcommands -------------------------------------------------------------

@@ -14,17 +14,21 @@ every read is checked row by row against a grid: the one given (the
 external-process protocol), or else the file's own, the grid that wrote
 it.  The checks are coordinates, side tags and finite values.
 
-``repr``, about 1 µs a float, is most of a write, so the writers format
-each distinct float once.  A row's grid-only text (its coordinate and
-side tag) depends on the grid alone: it is kept for the last grid
-written, cells or nodes, as ``%``-templates of ``_BLOCK_ROWS`` rows
-(about 22 bytes a row), and later snapshots of a solve, or the inputs of
-an external batch, fill it in again.  Only that one grid's text stays
-resident; writing another grid, or its other kind of row, replaces it.
-Values are formatted a block at a time, once per run of bit-identical
-neighbours in the block (compared as ``int64``, so 0.0 and -0.0 stay
-apart); piecewise-constant densities repeat their left neighbour in
-most cells.
+``repr`` (0.65 to 1 µs a float) is most of a write, so the writers call
+it once per float they print and do little else per row.  A row's
+grid-only text (its coordinate and side tag) depends on the grid alone:
+it is kept for the last grid written, cells or nodes, as ``%``-templates
+of ``_BLOCK_ROWS`` rows (about 22 bytes a row), each built from one
+``repr`` per coordinate joined per run of one side tag.  Later snapshots
+of a solve, or the inputs of an external batch, fill it in again.  Only
+that one grid's text stays resident; writing another grid, or its other
+kind of row, replaces it.  So a grid's first write costs two ``repr``
+calls a row and each later write one.  Values are formatted a block at a
+time, once per run of bit-identical neighbours in the block (compared as
+``int64``, so 0.0 and -0.0 stay apart): piecewise-constant densities
+repeat their left neighbour in most cells, while a block with no such
+neighbour (every potential file) is one ``repr`` a float and nothing
+more.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import json
 import sys
 from dataclasses import replace
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -47,11 +52,14 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _layout(grid: Grid, kind: str) -> tuple[np.ndarray, list[str]]:
-    """The x coordinate and side tag of each row of ``grid``'s ``kind``, "cells" or "nodes" (the x = 0 node is 'j')."""
+def _layout(grid: Grid, kind: str) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
+    """The x coordinate of each row of ``grid``'s ``kind``, "cells" or "nodes", and its side tags.
+
+    The tags come in row order, each with its count of rows; the x = 0 node is 'j'.
+    """
     if kind == "cells":
-        return grid.cell_centers(), ["l"] * grid.n_left + ["r"] * grid.n_right
-    return grid.node_coords(), ["l"] * grid.n_left + ["j"] + ["r"] * grid.n_right
+        return grid.cell_centers(), (("l", grid.n_left), ("r", grid.n_right))
+    return grid.node_coords(), (("l", grid.n_left), ("j", 1), ("r", grid.n_right))
 
 
 # Rows a template of a grid's text holds, and rows of values formatted at
@@ -65,16 +73,17 @@ _BLOCK_ROWS = 4096
 _grid_text: tuple = (None, ())
 
 
-def _float_reprs(values: np.ndarray):
-    """``repr`` of each float of ``values``, lazily, formatting each run of bit-identical neighbours once."""
+def _float_reprs(values: np.ndarray) -> tuple[str, ...]:
+    """``repr`` of each float of ``values``, formatting each run of bit-identical neighbours once."""
     values = np.asarray(values, dtype=float)
-    if not values.size:
-        return iter(())
     bits = values.view(np.int64)
-    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    lengths = np.diff(starts, prepend=0, append=values.size)
-    firsts = values[np.concatenate(([0], starts))].tolist()
-    return chain.from_iterable(map(repeat, map(repr, firsts), lengths.tolist()))
+    starts = np.empty(values.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    if starts[1:].all():  # no float equals its left neighbour, as in every potential file
+        return tuple(map(repr, values.tolist()))
+    starts[0] = True
+    firsts = list(map(repr, values[starts].tolist()))
+    return itemgetter(*(np.cumsum(starts) - 1).tolist())(firsts)  # two or more floats here, so a tuple
 
 
 def _row_templates(grid: Grid, kind: str) -> tuple[str, ...]:
@@ -83,20 +92,32 @@ def _row_templates(grid: Grid, kind: str) -> tuple[str, ...]:
     key, templates = _grid_text
     if key != (grid, kind):
         _grid_text, templates = (None, ()), None  # the last grid's text goes before this one's is built
-        xs, sides = _layout(grid, kind)
-        templates = tuple(
-            "".join(map("{!r},%s,{}\r\n".format, xs[i : i + _BLOCK_ROWS].tolist(), sides[i : i + _BLOCK_ROWS]))
-            for i in range(0, len(xs), _BLOCK_ROWS)
-        )
+        templates = tuple(_template_blocks(*_layout(grid, kind)))
         _grid_text = ((grid, kind), templates)
     return templates
+
+
+def _template_blocks(xs: np.ndarray, sides: tuple[tuple[str, int], ...]):
+    """Each block's template, from one ``repr`` a coordinate joined per piece of a side's rows in the block."""
+    pieces, lo = [], 0
+    for tag, count in sides:
+        row, hi = f",%s,{tag}\r\n", lo + count
+        while lo < hi:
+            cut = min(hi, lo - lo % _BLOCK_ROWS + _BLOCK_ROWS)  # the side's end or the block's
+            pieces.append(row.join(map(repr, xs[lo:cut].tolist())) + row)
+            lo = cut
+            if lo % _BLOCK_ROWS == 0:
+                yield "".join(pieces)
+                pieces = []
+    if pieces:
+        yield "".join(pieces)
 
 
 def _write_rows(path, header: list[str], templates: tuple[str, ...], values: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for k, template in enumerate(templates):
-            fh.write(template % tuple(_float_reprs(values[k * _BLOCK_ROWS : (k + 1) * _BLOCK_ROWS])))
+            fh.write(template % _float_reprs(values[k * _BLOCK_ROWS : (k + 1) * _BLOCK_ROWS]))
 
 
 def write_cell_csv(path, state: CellField) -> None:
@@ -160,7 +181,8 @@ def _read_rows(path, value_col: str) -> tuple[np.ndarray, np.ndarray, list[str] 
 
 
 def _check_rows(path, xs, sides, grid: Grid, kind: str) -> None:
-    expected_x, expected_sides = _layout(grid, kind)
+    expected_x, side_counts = _layout(grid, kind)
+    expected_sides = list(chain.from_iterable(repeat(tag, count) for tag, count in side_counts))
     if len(xs) != len(expected_x):
         raise GridMismatchError(f"{path}: {len(xs)} rows for a grid with {len(expected_x)} {kind}")
     # written so that a NaN coordinate fails too

@@ -19,6 +19,7 @@ from junctionflow import (
     Grid,
     GridMismatchError,
     NodeField,
+    formats,
     read_cell_csv,
     read_manifest,
     read_node_csv,
@@ -258,3 +259,13 @@ def test_xy_writer_matches_the_row_loop_bytes(columns):
         _write_xy_csv(got, ("xi", "rho"), xs, ys)
         _write_xy_csv_reference(want, ("xi", "rho"), xs, ys)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_xy_writer_over_more_than_two_blocks_matches_the_row_loop_bytes(tmp_path):
+    n = 2 * formats._BLOCK_ROWS + 3  # a last block of three rows
+    xs = np.linspace(-2.0, 2.0, n)
+    ys = np.resize(np.repeat([*SPECIAL, 0.5], 1500), n)  # runs of each special value, some across a block boundary
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    _write_xy_csv(got, ("x", "u"), xs, ys)
+    _write_xy_csv_reference(want, ("x", "u"), xs, ys)
+    assert got.read_bytes() == want.read_bytes()

@@ -5,16 +5,19 @@ coordinates and side tags) between calls and format each run of
 bit-identical neighbouring values once.  ``_write_rows_reference``, the
 loop before either, is kept verbatim: both must give the same bytes on
 grids wider than two blocks of rows with runs across block boundaries,
-on 0.0 next to -0.0 and on runs of NaN and ±inf, for strided views, for
-two grids written alternately and for equal grids built apart, and when
-a state's values change between two writes on one grid.
+on side tags that change exactly at a block boundary, on 0.0 next to
+-0.0 and on runs of NaN and ±inf, for strided views, for two grids
+written alternately and for equal grids built apart, and when a state's
+values change between two writes on one grid.
 
 The properties run with blocks of ``BLOCK_ROWS`` rows, so that grids of
 a few dozen rows cross block boundaries and an example costs little.
 ``solve-cl`` and ``solve-hj`` still write through the module's two
 names, once a snapshot (the benchmark's tracer counts files there), and
 their outputs on a grid wider than two blocks of the real size are frozen
-by digest, with values taken before the row text was kept.
+by digest, with values taken before the row text was kept.  A write, and
+the CLI's two-column profile writer, holds the strings of a block or two
+at a time, never a whole file's (traced with ``tracemalloc``).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import hashlib
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from junctionflow import CellField, Grid, NodeField, formats, write_cell_csv, write_node_csv
-from junctionflow.cli import main
+from junctionflow.cli import _write_xy_csv, main
 
 # Rows a block holds while the properties run, in place of ``formats._BLOCK_ROWS``.
 BLOCK_ROWS = 16
@@ -165,6 +169,28 @@ def test_values_changed_between_two_writes_on_one_grid_match_the_reference(data)
     _assert_reference_bytes(state)
 
 
+# Grids whose side tag changes exactly at a block boundary, and whose last block is one row.
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize(
+    "kind, n_left, n_right",
+    [
+        pytest.param("cells", BLOCK_ROWS, BLOCK_ROWS + 5, id="cells-r-starts-the-second-block"),
+        pytest.param("cells", 2 * BLOCK_ROWS, 5, id="cells-r-starts-the-third-block"),
+        pytest.param("nodes", BLOCK_ROWS, 7, id="nodes-j-first-row-of-a-block"),
+        pytest.param("nodes", 2 * BLOCK_ROWS - 1, 7, id="nodes-j-last-row-of-a-block"),
+        pytest.param("cells", 5, 2 * BLOCK_ROWS - 4, id="cells-last-block-of-one-row"),
+        pytest.param("nodes", 5, 2 * BLOCK_ROWS - 5, id="nodes-last-block-of-one-row"),
+    ],
+)
+def test_side_tags_changing_at_a_block_boundary_match_the_reference(kind, n_left, n_right):
+    grid = Grid(n_left, n_right, 0.1)
+    state, rows = (CellField, grid.n_cells) if kind == "cells" else (NodeField, grid.n_cells + 1)
+    run_free = np.linspace(-1.0, 1.0, rows)
+    with_runs = np.resize(np.repeat([0.25, 0.0, -0.0, 0.5], 3), rows)
+    for values in (run_free, with_runs, run_free):  # the last write fills the kept text again
+        _assert_reference_bytes(state(grid, values))
+
+
 # -- the CLI's solve files: one write a snapshot, and their bytes ---------------------------------
 
 SOLVE_CELLS = 10_001  # more than two blocks of formats._BLOCK_ROWS = 4096 rows
@@ -236,3 +262,53 @@ def test_solve_files_on_a_grid_wider_than_a_block_are_frozen(tmp_path):
         for path in sorted(_solve(tmp_path, command).iterdir()):
             digests[f"{command}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == FROZEN_SOLVE_DIGESTS
+
+
+# -- memory: a write holds a block or two of strings, not a file's ---------------------------------
+
+MEMORY_GRID = Grid(25_000, 25_000, 4.0 / 50_000)  # 50,001 nodes, more than twelve blocks of rows
+
+
+def _peak_traced_bytes(write) -> int:
+    """The most memory ``tracemalloc`` saw allocated at once while ``write()`` ran."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _block_strings(path: Path, columns: list[int]) -> int:
+    """Bytes of the strings of the first block of ``path``'s rows: their text, and a ``repr`` a field of ``columns``."""
+    lines = path.read_bytes().decode().splitlines(keepends=True)[1 : formats._BLOCK_ROWS + 1]
+    reprs = [line.split(",")[k] for line in lines for k in columns]
+    return sys.getsizeof("".join(lines)) + sum(map(sys.getsizeof, reprs))
+
+
+def _run_free_potential() -> NodeField:
+    """A potential on ``MEMORY_GRID`` with no two neighbours equal, so each value is one ``repr``."""
+    return NodeField(MEMORY_GRID, np.cumsum(np.random.default_rng(0).uniform(0.5, 1.0, MEMORY_GRID.n_cells + 1)))
+
+
+def test_a_write_on_the_kept_grid_holds_under_two_blocks_of_strings(tmp_path):
+    path, state = tmp_path / "u.csv", _run_free_potential()
+    write_node_csv(path, state)  # keeps the grid's row text
+    peak = _peak_traced_bytes(lambda: write_node_csv(path, state))
+    assert peak < 2 * _block_strings(path, [1])
+
+
+def test_a_first_write_holds_under_its_templates_and_two_blocks_of_strings(monkeypatch, tmp_path):
+    monkeypatch.setattr(formats, "_grid_text", (None, ()))
+    path, state = tmp_path / "u.csv", _run_free_potential()
+    peak = _peak_traced_bytes(lambda: write_node_csv(path, state))
+    templates = sum(map(sys.getsizeof, formats._row_templates(MEMORY_GRID, "nodes")))
+    assert peak < templates + 2 * _block_strings(path, [1])
+
+
+def test_an_xy_write_holds_under_a_few_blocks_of_strings(tmp_path):
+    xs = np.linspace(-2.0, 2.0, 100_001)
+    ys = np.cumsum(np.random.default_rng(0).uniform(0.5, 1.0, xs.size))
+    path = tmp_path / "xy.csv"
+    peak = _peak_traced_bytes(lambda: _write_xy_csv(path, ("x", "u"), xs, ys))
+    assert peak < 3 * _block_strings(path, [0, 1])
