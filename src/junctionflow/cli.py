@@ -187,6 +187,8 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
     cells = _as_int(data.get("cells", 800), "cells")
     if cells < 8:
         raise ConfigError(f"cells: need at least 8, got {cells}")
+    if cells + 1 > np.iinfo(np.intp).max // np.dtype(float).itemsize:  # numpy refuses the node array
+        raise ConfigError(f"cells: {cells} is more than an array of the grid's nodes can hold")
     dx = (x_max - x_min) / cells
     if not (sys.float_info.min <= dx < math.inf):  # a subnormal dx no longer fixes the cell centers
         raise ConfigError(f"domain: [{x_min}, {x_max}] over {cells} cells gives cell width {dx}")

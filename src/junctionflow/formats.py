@@ -17,18 +17,18 @@ it.  The checks are coordinates, side tags and finite values.
 ``repr`` (0.65 to 1 µs a float) is most of a write, so the writers call
 it once per float they print and do little else per row.  A row's
 grid-only text (its coordinate and side tag) depends on the grid alone:
-it is kept for the last grid written, cells or nodes, as ``%``-templates
-of ``_BLOCK_ROWS`` rows (about 22 bytes a row), each built from one
-``repr`` per coordinate joined per run of one side tag.  Later snapshots
-of a solve, or the inputs of an external batch, fill it in again.  Only
-that one grid's text stays resident; writing another grid, or its other
-kind of row, replaces it.  So a grid's first write costs two ``repr``
-calls a row and each later write one.  Values are formatted a block at a
-time, once per run of bit-identical neighbours in the block (compared as
-``int64``, so 0.0 and -0.0 stay apart): piecewise-constant densities
-repeat their left neighbour in most cells, while a block with no such
-neighbour (every potential file) is one ``repr`` a float and nothing
-more.
+it is kept for the last grid written, for its cells and its nodes alike,
+as ``%``-templates of ``_BLOCK_ROWS`` rows (about 22 bytes a row), each
+built from one ``repr`` per coordinate joined per run of one side tag.
+Later snapshots of a solve, of either kind, or the inputs of an external
+batch, fill it in again.  Only that one grid's text stays resident:
+writing another grid drops both kinds before it builds its own.  So the
+first write of each kind on a grid costs two ``repr`` calls a row and
+each later write one.  Values are formatted a block at a time, once per
+run of bit-identical neighbours in the block (compared as ``int64``, so
+0.0 and -0.0 stay apart): piecewise-constant densities repeat their left
+neighbour in most cells, while a block with no such neighbour (every
+potential file) is one ``repr`` a float and nothing more.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ import csv
 import json
 import sys
 from dataclasses import replace
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import islice
+from operator import countOf, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +67,11 @@ def _layout(grid: Grid, kind: str) -> tuple[np.ndarray, tuple[tuple[str, int], .
 # per row, short enough that a block's strings are a small tuple.
 _BLOCK_ROWS = 4096
 
-# ((grid, "cells" | "nodes"), templates) of the last grid written.  The
-# templates are a function of the key alone, so callers sharing them see
-# no change in any file; a thread that races another builds them twice.
+# (grid, {"cells" | "nodes": templates}) of the last grid written, with
+# each kind of row written on it since.  The entry is replaced, never
+# changed in place.  Templates are a function of (grid, kind) alone, so
+# callers sharing them see no change in any file; a thread that races
+# another builds them again.
 _grid_text: tuple = (None, ())
 
 
@@ -89,11 +91,13 @@ def _float_reprs(values: np.ndarray) -> tuple[str, ...]:
 def _row_templates(grid: Grid, kind: str) -> tuple[str, ...]:
     """The ``x,%s,side\r\n`` rows of ``grid``'s cells or nodes, ``_BLOCK_ROWS`` to a string."""
     global _grid_text
-    key, templates = _grid_text
-    if key != (grid, kind):
-        _grid_text, templates = (None, ()), None  # the last grid's text goes before this one's is built
+    key, kinds = _grid_text
+    if key != grid:
+        _grid_text, kinds = (None, ()), {}  # the last grid's text goes before this one's is built
+    templates = kinds.get(kind)
+    if templates is None:
         templates = tuple(_template_blocks(*_layout(grid, kind)))
-        _grid_text = ((grid, kind), templates)
+        _grid_text = (grid, {**kinds, kind: templates})
     return templates
 
 
@@ -182,7 +186,6 @@ def _read_rows(path, value_col: str) -> tuple[np.ndarray, np.ndarray, list[str] 
 
 def _check_rows(path, xs, sides, grid: Grid, kind: str) -> None:
     expected_x, side_counts = _layout(grid, kind)
-    expected_sides = list(chain.from_iterable(repeat(tag, count) for tag, count in side_counts))
     if len(xs) != len(expected_x):
         raise GridMismatchError(f"{path}: {len(xs)} rows for a grid with {len(expected_x)} {kind}")
     # written so that a NaN coordinate fails too
@@ -190,9 +193,14 @@ def _check_rows(path, xs, sides, grid: Grid, kind: str) -> None:
     if off.size:
         k = off[0]
         raise GridMismatchError(f"{path}: data row {k + 1} has x = {_fmt(xs[k])}, the grid puts {_fmt(expected_x[k])} there")
-    if sides is not None and sides != expected_sides:
-        k = next(i for i, (got, want) in enumerate(zip(sides, expected_sides)) if got != want)
-        raise GridMismatchError(f"{path}: data row {k + 1} is tagged side {sides[k]!r}, expected {expected_sides[k]!r}")
+    if sides is None:
+        return
+    rows, lo = iter(sides), 0  # one pass over the tags, a run of one side at a time
+    for tag, count in side_counts:
+        if countOf(islice(rows, count), tag) != count:
+            k = next(i for i in range(lo, lo + count) if sides[i] != tag)
+            raise GridMismatchError(f"{path}: data row {k + 1} is tagged side {sides[k]!r}, expected {tag!r}")
+        lo += count
 
 
 def _file_grid(path, xs: np.ndarray, kind: str) -> Grid:

@@ -158,8 +158,8 @@ class SemigroupHandle:
     def __post_init__(self):
         if self.scheme not in ("cl", "hj"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not (0.0 < self.dx < math.inf):
-            raise ValueError(f"resolution dx must be positive and finite, got {self.dx}")
+        if not (sys.float_info.min <= self.dx < math.inf):  # a subnormal dx does not fix the grid
+            raise ValueError(f"resolution dx must be positive, finite and not subnormal, got {self.dx}")
         if not (0.0 < self.timeout < math.inf):
             raise ValueError(f"external timeout must be positive, got {self.timeout}")
 

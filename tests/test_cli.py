@@ -296,6 +296,16 @@ def test_unusable_datum_table_or_domain_is_a_config_error(tmp_path, capsys, patc
     assert f"error: {message}\n" in capsys.readouterr().err
 
 
+# Sizes numpy refuses before it allocates anything; a size it might try to allocate is never run here.
+@pytest.mark.parametrize("cells", [10**30, 2**62], ids=["1e30", "2**62"])
+@pytest.mark.parametrize("subcommand", ["solve-cl", "verify"])
+def test_cells_too_many_for_a_node_array_is_a_config_error(tmp_path, capsys, subcommand, cells):
+    """Exit 2 with ``cells`` named, not numpy's size error as a traceback (exit 1)."""
+    path = write_config(tmp_path, cells=cells)
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: cells: {cells} is more than an array of the grid's nodes can hold\n" in capsys.readouterr().err
+
+
 def test_march_of_too_many_steps_to_count_is_a_numerical_failure(tmp_path, capsys):
     """t_end / dt_max overflows: exit 3, not an OverflowError traceback (exit 1)."""
     path = write_config(tmp_path, t_end=1e308)

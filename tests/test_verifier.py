@@ -753,7 +753,7 @@ def test_handle_evolves_only_its_scheme(sym_junction, command):
 def test_handle_rejects_unknown_scheme(sym_junction):
     with pytest.raises(ValueError, match="unknown scheme 'cl_internal'"):
         SemigroupHandle("cl_internal", sym_junction)
-    for bad in (0.0, -1.0, math.inf, math.nan):
+    for bad in (0.0, -1.0, math.inf, math.nan, 1e-320, 5e-324):  # subnormal widths as well
         with pytest.raises(ValueError, match="resolution dx"):
             SemigroupHandle("cl", sym_junction, dx=bad)
 
