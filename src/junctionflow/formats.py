@@ -37,8 +37,8 @@ import csv
 import json
 import sys
 from dataclasses import replace
-from itertools import islice
-from operator import countOf, itemgetter
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +186,7 @@ def _read_rows(path, value_col: str) -> tuple[np.ndarray, np.ndarray, list[str] 
 
 def _check_rows(path, xs, sides, grid: Grid, kind: str) -> None:
     expected_x, side_counts = _layout(grid, kind)
+    expected_sides = list(chain.from_iterable(repeat(tag, count) for tag, count in side_counts))
     if len(xs) != len(expected_x):
         raise GridMismatchError(f"{path}: {len(xs)} rows for a grid with {len(expected_x)} {kind}")
     # written so that a NaN coordinate fails too
@@ -193,14 +194,9 @@ def _check_rows(path, xs, sides, grid: Grid, kind: str) -> None:
     if off.size:
         k = off[0]
         raise GridMismatchError(f"{path}: data row {k + 1} has x = {_fmt(xs[k])}, the grid puts {_fmt(expected_x[k])} there")
-    if sides is None:
-        return
-    rows, lo = iter(sides), 0  # one pass over the tags, a run of one side at a time
-    for tag, count in side_counts:
-        if countOf(islice(rows, count), tag) != count:
-            k = next(i for i in range(lo, lo + count) if sides[i] != tag)
-            raise GridMismatchError(f"{path}: data row {k + 1} is tagged side {sides[k]!r}, expected {tag!r}")
-        lo += count
+    if sides is not None and sides != expected_sides:
+        k = next(i for i, (got, want) in enumerate(zip(sides, expected_sides)) if got != want)
+        raise GridMismatchError(f"{path}: data row {k + 1} is tagged side {sides[k]!r}, expected {expected_sides[k]!r}")
 
 
 def _file_grid(path, xs: np.ndarray, kind: str) -> Grid:

@@ -1,4 +1,4 @@
-"""A grid's row text, kept for its cells and its nodes together, and side tags read back run by run.
+"""A grid's row text, kept for its cells and its nodes together, and the message for a mis-tagged row.
 
 ``formats._row_templates`` keeps the row templates of the last grid
 written, one set for each kind of row written on it: a solve of each
@@ -9,9 +9,8 @@ up on the module at call time.  Once both kinds are kept, a write of
 either holds less than two blocks of strings (traced with
 ``tracemalloc``).
 
-A read checks a file's side tags one side's run of rows at a time; the
-message for the first mis-tagged row is frozen from the whole-grid
-comparison it replaced.
+A read names the first mis-tagged row of a file and the tag its side
+expects; those messages are frozen here.
 """
 
 from __future__ import annotations
@@ -126,7 +125,7 @@ TAG_GRID = Grid(3, 4, 0.25)  # cells l l l r r r r; nodes l l l j r r r r
     ],
 )
 def test_a_mis_tagged_row_is_named_as_before(tmp_path, kind, rows, message):
-    """The first mis-tagged row, and the tag its side expects (messages frozen from the whole-grid comparison)."""
+    """The first mis-tagged row, and the tag its side expects, on a given grid and on the file's own."""
     path = tmp_path / f"{kind}.csv"
     if kind == "cells":
         write_cell_csv(path, CellField(TAG_GRID, np.linspace(0.0, 1.0, TAG_GRID.n_cells)))
