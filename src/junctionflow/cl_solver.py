@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -55,6 +55,8 @@ class Grid:
             raise GridMismatchError("need at least one cell on each side of the junction")
         if not (sys.float_info.min <= self.dx < math.inf):  # a subnormal dx does not fix the cell centers
             raise GridMismatchError(f"dx must be positive, finite and not subnormal, got {self.dx}")
+        if self.n_cells + 1 > np.iinfo(np.intp).max // np.dtype(float).itemsize:  # numpy refuses the node array
+            raise GridMismatchError("too many cells for an array of the grid's nodes to hold")
 
     @classmethod
     def from_domain(cls, x_min: float, x_max: float, n_cells: int) -> "Grid":
@@ -120,13 +122,7 @@ class CellField:
             )
 
     def copy(self) -> "CellField":
-        return CellField(
-            grid=self.grid,
-            values=self.values.copy(),
-            time=self.time,
-            left_flux_time_integral=self.left_flux_time_integral,
-            right_flux_time_integral=self.right_flux_time_integral,
-        )
+        return replace(self, values=self.values.copy())
 
 
 def field_from_function(grid: Grid, f: Callable[[np.ndarray], np.ndarray]) -> CellField:

@@ -187,11 +187,13 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
     cells = _as_int(data.get("cells", 800), "cells")
     if cells < 8:
         raise ConfigError(f"cells: need at least 8, got {cells}")
-    if cells + 1 > np.iinfo(np.intp).max // np.dtype(float).itemsize:  # numpy refuses the node array
-        raise ConfigError(f"cells: {cells} is more than an array of the grid's nodes can hold")
     dx = (x_max - x_min) / cells
     if not (sys.float_info.min <= dx < math.inf):  # a subnormal dx no longer fixes the cell centers
         raise ConfigError(f"domain: [{x_min}, {x_max}] over {cells} cells gives cell width {dx}")
+    try:
+        cl.Grid.from_domain(x_min, x_max, cells)
+    except GridMismatchError as exc:  # the one grid error left: numpy refuses the node array
+        raise ConfigError(f"cells: {cells} is more than an array of the grid's nodes can hold") from exc
 
     cfl = config_float(data.get("cfl", 0.8), "cfl")
     t_end = config_float(data.get("t_end", 1.0), "t_end")
@@ -595,6 +597,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (StepError, GridMismatchError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # a config too large for this machine: numpy could not allocate its arrays
+        print(f"error: not enough memory for this config: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

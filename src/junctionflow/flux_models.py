@@ -91,8 +91,7 @@ class ConcaveFlux:
     Subclasses provide H (``_flow_into``), ``derivative``,
     ``inv_derivative``, ``roots`` and the candidate set for conjugate
     maximization; the envelopes and the truncated conjugate are generic,
-    and a subclass may write the envelopes its own way behind
-    ``_envelopes_into``.
+    and a subclass may write ``envelopes`` its own way.
     """
 
     rmax: float
@@ -194,17 +193,13 @@ class ConcaveFlux:
 
         Bit for bit the values of ``demand``/``supply``, which evaluate H
         at min(p, p_crit) and max(p, p_crit), but without validation: the
-        inner loop of the schemes, which clip once per step.  The
-        quadratic evaluates H(p) once and copies its peak into each
-        envelope's flat side; the polygon writes each envelope from its
-        own monotone branch, segment by segment (see the module
-        docstring).  Neither allocates a float array of p's size, except
-        a polygon with more than one falling segment, which takes one.
+        inner loop of the schemes, which clip once per step.  Here H(p) is
+        evaluated once and its peak copied into each envelope's flat side;
+        the polygon writes each envelope from its own monotone branch,
+        segment by segment (see the module docstring).  Neither allocates a
+        float array of p's size, except a polygon with more than one falling
+        segment, which takes one.
         """
-        self._envelopes_into(p, demand_out, supply_out)
-
-    def _envelopes_into(self, p: np.ndarray, demand_out: np.ndarray, supply_out: np.ndarray) -> None:
-        """``envelopes`` from one evaluation of H(p) and two masked copies of its peak."""
         pc = self.p_crit
         self._flow_into(p, demand_out, supply_out)
         np.copyto(supply_out, demand_out)
@@ -358,11 +353,11 @@ class PiecewiseLinearFlux(ConcaveFlux):
 
     def _flow_into(self, p: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         # H is the demand up to p_crit and the supply beyond it
-        self._envelopes_into(p, out, work)
+        self.envelopes(p, out, work)
         np.copyto(out, work, where=p > self.p_crit)
         return out
 
-    def _envelopes_into(self, p: np.ndarray, demand_out: np.ndarray, supply_out: np.ndarray) -> None:
+    def envelopes(self, p: np.ndarray, demand_out: np.ndarray, supply_out: np.ndarray) -> None:
         """Demand from the rising segments, supply from the falling ones, as ``np.interp`` evaluates H.
 
         A density in [px[j], px[j+1]) takes slopes[j] * (p - px[j]) + hy[j];

@@ -174,9 +174,8 @@ def exact_valley_capped(j: JunctionModel, level: ArrayLike, t: ArrayLike, x: Arr
     """
     t = _check_time(t)
     valley = CanonicalDatum(shape=DatumShape.PHI_CHECK, level=level)
-    roof = CanonicalDatum(shape=DatumShape.PHI_HAT, level=j.limiter)
     down = canonical_eval(valley, j, x) - t * valley.level
-    cut = canonical_eval(roof, j, x) - t * roof.level
+    cut = exact_roof_drain(j, j.limiter, t, x)
     # max(down, cut) as Python's max takes it: the first of equals
     return float_or_array(np.where(cut > down, cut, down))
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import cl_solver as cl
 from . import hj_solver as hj
-from .errors import StepError
+from .errors import GridMismatchError, StepError
 from .flux_models import CanonicalDatum, DatumShape
 from .junction import JunctionModel, TracePair, germ_contains, germ_dissipative, junction_flux, riemann_traces
 
@@ -128,18 +128,19 @@ class SemigroupHandle:
     sequence of states on one grid at one time and return one snapshot
     list per state.  With an empty ``command`` the handle marches the
     states as the rows of one array with the in-process solver of its
-    scheme; otherwise it shells out to ``command`` once per (state, time),
-    with arguments (input CSV path, time elapsed since the state's time,
-    output CSV path), and reads the result back in the cell or node CSV
-    schema, labelled with the time asked.  Each (state, time) asked is one
-    call, however often it was asked before.  The calls of one batch are
-    independent and run concurrently, up to one per usable CPU, each with
-    its share of those CPUs for the thread pools it starts; a failure is
-    reported for the first failing call in (state, time) order.  A command
-    that cannot be started is a ``StepError``, and so is a call still
-    running after ``timeout`` seconds, which is killed.
+    scheme; otherwise each (state, time) is one ask: one call of
+    ``command`` with arguments (input CSV path, time elapsed since the
+    state's time, output CSV path), its result read back in the cell or
+    node CSV schema and labelled with the time asked, however often that
+    (state, time) was asked before.  The asks of one batch run
+    concurrently, up to one per usable CPU, each with its share of those
+    CPUs for the thread pools it starts; the first failing ask in (state,
+    time) order is raised.  An ask whose command runs past ``timeout``
+    seconds (it is killed), cannot be started, exits non-zero or writes
+    an unusable state is a ``StepError``.
 
-    The fields are the handle's parameters, and it is frozen.  What it
+    The fields are the handle's parameters, and it is frozen.  A ``dx``
+    whose grid no array can hold is refused at construction.  What it
     keeps is derived from them on first use: an external handle's
     ``_child_path`` and an ``"hj"`` handle's ``_probes``, the runs of the
     canonical wedge probes (``WEDGE_PROBES``), marched in one batch by the
@@ -162,6 +163,10 @@ class SemigroupHandle:
             raise ValueError(f"resolution dx must be positive, finite and not subnormal, got {self.dx}")
         if not (0.0 < self.timeout < math.inf):
             raise ValueError(f"external timeout must be positive, got {self.timeout}")
+        try:
+            self.grid  # so that a grid no array can hold fails here, not at the first evolve
+        except (GridMismatchError, OverflowError) as exc:
+            raise ValueError(f"resolution dx {self.dx} gives no usable grid on {self.domain}: {exc}") from exc
 
     @property
     def grid(self) -> cl.Grid:
@@ -198,69 +203,66 @@ class SemigroupHandle:
         return out
 
     def _evolve_external(self, states, grid, times):
-        """Snapshots from one command call per (state, time), read back in (state, time) order.
+        """Snapshots from one ``ask`` per (state, time), mapped on a pool in (state, time) order.
 
-        Inputs are written first, once per state, and the calls run on a pool
-        of one thread per usable CPU (at most one per call), so the first
-        failure in (state, time) order is the one reported.  On a failure the
-        calls not yet started are cancelled and the running ones end within
-        their own timeout before the error leaves this method.  Each call's
-        environment sets every ``_THREAD_VARS`` entry that this process's does
-        not to the usable CPUs over the pool's threads, and takes its
-        ``PYTHONPATH`` from ``_child_path``.  A command is told the time
-        elapsed since its input's time.
+        Inputs are written first, once per state.  An ask runs the command on
+        its state's input, reads the answer on ``grid`` and labels it with the
+        time asked.  The first failure in (state, time) order is raised: the
+        asks not yet started are cancelled and the running ones end within
+        their own timeout first.  The pool has one thread per usable CPU (at
+        most one per ask); each call's environment sets every ``_THREAD_VARS``
+        entry that this process's does not to the usable CPUs over the pool's
+        threads, and takes its ``PYTHONPATH`` from ``_child_path``.
         """
         # Imported here: concurrent.futures adds about 6 ms to every command's package import.
         from concurrent.futures import ThreadPoolExecutor
 
         from . import formats
 
-        out = [[] for _ in states]
         if not times:
-            return out
+            return [[] for _ in states]
         if self.scheme == "cl":
             write, read = formats.write_cell_csv, formats.read_cell_csv
         else:
             write, read = formats.write_node_csv, formats.read_node_csv
+        cpus = _usable_cpus()
+        workers = min(cpus, len(states) * len(times))
+        env = {**dict.fromkeys(_THREAD_VARS, str(cpus // workers)), **os.environ}
+        if self._child_path[0] is not None:
+            env["PYTHONPATH"] = self._child_path[0]
+
+        def ask(argv, dst, t):
+            try:
+                proc = subprocess.run(argv, capture_output=True, text=True, timeout=self.timeout, env=env)
+            except subprocess.TimeoutExpired as exc:
+                raise StepError(f"external semi-group {argv[0]} timed out after {self.timeout:g} s") from exc
+            except OSError as exc:
+                raise StepError(f"external semi-group {argv[0]} could not be started: {exc}") from exc
+            if proc.returncode != 0:
+                raise StepError(
+                    f"external semi-group {argv[0]} exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
+                )
+            try:
+                state = read(dst, grid=grid)
+            except (OSError, ValueError) as exc:
+                raise StepError(f"external semi-group {argv[0]} wrote an unusable state: {exc}") from exc
+            state.time = t
+            return state
+
         with tempfile.TemporaryDirectory(prefix="junctionflow-ext-") as td:
-            calls = []
+            asks = []
             for i, state in enumerate(states):
                 src = Path(td) / f"state_in_{i}.csv"
                 write(src, state)
                 for k, t in enumerate(times):
                     dst = Path(td) / f"state_out_{i}_{k}.csv"
-                    calls.append(([*self.command, str(src), repr(t - state.time), str(dst)], dst, t, out[i]))
-            cpus = _usable_cpus()
-            workers = min(cpus, len(calls))
-            env = {**dict.fromkeys(_THREAD_VARS, str(cpus // workers)), **os.environ}
-            if self._child_path[0] is not None:
-                env["PYTHONPATH"] = self._child_path[0]
+                    asks.append(([*self.command, str(src), repr(t - state.time), str(dst)], dst, t))
             pool = ThreadPoolExecutor(max_workers=workers)
             try:
-                futures = [
-                    pool.submit(subprocess.run, argv, capture_output=True, text=True, timeout=self.timeout, env=env)
-                    for argv, *_ in calls
-                ]
-                for future, (argv, dst, t, snapshots) in zip(futures, calls):
-                    try:
-                        proc = future.result()
-                    except subprocess.TimeoutExpired as exc:
-                        raise StepError(f"external semi-group {argv[0]} timed out after {self.timeout:g} s") from exc
-                    except OSError as exc:
-                        raise StepError(f"external semi-group {argv[0]} could not be started: {exc}") from exc
-                    if proc.returncode != 0:
-                        raise StepError(
-                            f"external semi-group {argv[0]} exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
-                        )
-                    try:
-                        state = read(dst, grid=grid)
-                    except (OSError, ValueError) as exc:
-                        raise StepError(f"external semi-group {argv[0]} wrote an unusable state: {exc}") from exc
-                    state.time = t
-                    snapshots.append(state)
+                answers = list(pool.map(ask, *zip(*asks)))
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
-        return out
+        return [answers[k : k + len(times)] for k in range(0, len(answers), len(times))]
 
     @cached_property
     def _child_path(self) -> tuple:

@@ -306,6 +306,21 @@ def test_cells_too_many_for_a_node_array_is_a_config_error(tmp_path, capsys, sub
     assert f"error: cells: {cells} is more than an array of the grid's nodes can hold\n" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """A grid this machine cannot allocate: exit 2 with one line, not a MemoryError traceback (exit 1)."""
+
+    def refuse(self):
+        raise MemoryError("Unable to allocate 8.00 PiB for an array with shape (1125899906842624,)")
+
+    monkeypatch.setattr(cl_solver.Grid, "cell_centers", refuse)
+    path = write_config(tmp_path)
+    assert main(["solve-cl", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: not enough memory for this config: "
+        "Unable to allocate 8.00 PiB for an array with shape (1125899906842624,)\n"
+    )
+
+
 def test_march_of_too_many_steps_to_count_is_a_numerical_failure(tmp_path, capsys):
     """t_end / dt_max overflows: exit 3, not an OverflowError traceback (exit 1)."""
     path = write_config(tmp_path, t_end=1e308)

@@ -223,16 +223,17 @@ def test_twin_junction_reports_the_left_half_first(sym_junction, left, right, me
 
 @pytest.fixture
 def flux_calls(monkeypatch):
-    """Counts of ``ConcaveFlux.clamp`` and ``ConcaveFlux.envelopes`` calls."""
+    """Counts of ``clamp`` and ``envelopes`` calls, on each flux class that defines one."""
     calls = {"clamp": 0, "envelopes": 0}
-    for name in calls:
-        method = getattr(ConcaveFlux, name)
+    for cls in (ConcaveFlux, PiecewiseLinearFlux):
+        for name in calls.keys() & vars(cls).keys():
+            method = vars(cls)[name]
 
-        def counted(self, *args, _method=method, _name=name, **kwargs):
-            calls[_name] += 1
-            return _method(self, *args, **kwargs)
+            def counted(self, *args, _method=method, _name=name, **kwargs):
+                calls[_name] += 1
+                return _method(self, *args, **kwargs)
 
-        monkeypatch.setattr(ConcaveFlux, name, counted)
+            monkeypatch.setattr(cls, name, counted)
     return calls
 
 

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import textwrap
 import threading
 import time
@@ -425,6 +426,44 @@ def test_external_batch_failure_reports_first_call_and_leaves_no_child(tmp_path,
             os.kill(pid, 0)
 
 
+# Records its pid in the directory argv[1]; at t = 0.1 it slowly writes an empty state, at t = 0.2 it exits 1 at once.
+MIXED_FAILURES_EXTERNAL = textwrap.dedent(
+    """
+    import os, sys, time
+    pids, src, t, dst = sys.argv[1:]
+    open(os.path.join(pids, str(os.getpid())), "w").close()
+    if t == "0.2":
+        sys.exit("later failure, sooner")
+    time.sleep(0.5)
+    open(dst, "w").close()
+    """
+)
+
+
+def test_external_failure_order_holds_across_failure_kinds(tmp_path, sym_junction, monkeypatch):
+    """An unusable state from the earlier ask is reported over the later ask's sooner non-zero exit."""
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)  # both asks run at once
+    monkeypatch.delenv("PYTHONPATH", raising=False)  # no compiled copy of the package in the temp directory
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    script = tmp_path / "mixed.py"
+    script.write_text(MIXED_FAILURES_EXTERNAL)
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    external = SemigroupHandle("cl", sym_junction, COARSE_DX, command=(sys.executable, str(script), str(pids)))
+    threads = threading.active_count()
+    with pytest.raises(StepError, match="wrote an unusable state: "):
+        external.evolve_cl([riemann_field(external.grid, 0.5, 0.5)], [0.1, 0.2])
+    assert threading.active_count() == threads
+    started = [int(f.name) for f in pids.iterdir()]
+    assert len(started) == 2
+    for pid in started:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    assert list(temp.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["missing", "not-executable"])
 def test_external_command_that_cannot_start_is_a_step_error(tmp_path, sym_junction, command):
     """Every call fails at once; the first in (state, time) order is reported and no pool thread is left."""
@@ -756,6 +795,20 @@ def test_handle_rejects_unknown_scheme(sym_junction):
     for bad in (0.0, -1.0, math.inf, math.nan, 1e-320, 5e-324):  # subnormal widths as well
         with pytest.raises(ValueError, match="resolution dx"):
             SemigroupHandle("cl", sym_junction, dx=bad)
+
+
+def test_handle_whose_grid_no_array_can_hold_fails_at_construction(sym_junction):
+    """Grid.__post_init__ bounds the cells; numpy refuses these sizes before it allocates anything."""
+    for dx in (1e-300, 1e-18):
+        message = f"resolution dx {dx} gives no usable grid on \\(-2.0, 2.0\\): too many cells"
+        with pytest.raises(ValueError, match=message):
+            SemigroupHandle("cl", sym_junction, dx=dx)
+    with pytest.raises(ValueError, match="must contain 0 in its interior"):
+        SemigroupHandle("hj", sym_junction, domain=(1.0, 2.0))
+    for n_left in (2**61, 2**62):
+        with pytest.raises(ValueError, match="too many cells for an array of the grid's nodes to hold"):
+            Grid(n_left=n_left, n_right=1, dx=0.1)
+    assert Grid(n_left=2**59, n_right=1, dx=0.1).n_cells == 2**59 + 1
 
 
 def test_external_handle_surfaces_failures(tmp_path, sym_junction):
