@@ -38,8 +38,15 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, StepError
-from .flux_models import CanonicalDatum, ConcaveFlux, DatumShape, canonical_eval
+from .flux_models import CanonicalDatum, ConcaveFlux, DatumShape, canonical_eval, first_min
 from .junction import JunctionModel
+
+
+def _check_dx(dx: float) -> float:
+    """``dx`` if it is a cell width a grid can take."""
+    if not (sys.float_info.min <= dx < math.inf):  # a subnormal dx does not fix the cell centers
+        raise GridMismatchError(f"dx must be positive, finite and not subnormal, got {dx}")
+    return dx
 
 
 @dataclass(frozen=True)
@@ -53,8 +60,7 @@ class Grid:
     def __post_init__(self):
         if self.n_left < 1 or self.n_right < 1:
             raise GridMismatchError("need at least one cell on each side of the junction")
-        if not (sys.float_info.min <= self.dx < math.inf):  # a subnormal dx does not fix the cell centers
-            raise GridMismatchError(f"dx must be positive, finite and not subnormal, got {self.dx}")
+        _check_dx(self.dx)
         if self.n_cells + 1 > np.iinfo(np.intp).max // np.dtype(float).itemsize:  # numpy refuses the node array
             raise GridMismatchError("too many cells for an array of the grid's nodes to hold")
 
@@ -71,7 +77,7 @@ class Grid:
             raise GridMismatchError(f"domain [{x_min}, {x_max}] must contain 0 in its interior")
         if n_cells < 2:
             raise GridMismatchError("need at least 2 cells")
-        dx = (x_max - x_min) / n_cells
+        dx = _check_dx((x_max - x_min) / n_cells)
         n_left = int(round(-x_min / dx))
         n_left = min(max(n_left, 1), n_cells - 1)
         return cls(n_left=n_left, n_right=n_cells - n_left, dx=dx)
@@ -150,11 +156,11 @@ class FluxKernel:
     """Interface fluxes of a junction on a grid: the update shared by both schemes.
 
     A call clips ``values`` (densities, or the slopes of a potential)
-    to [0, R] once per distinct flux, without a range check: the march
-    checked its datum at entry, and a monotone step leaves only
-    round-off outside.  It then evaluates demand D and supply S once per
-    cell: a junction with one flux on both sides takes all cells in one
-    pass, any other one pass a side.  Interior
+    to [0, R], one ``np.clip`` per distinct flux, without a range check:
+    the march checked its datum at entry, and a monotone step leaves
+    only round-off outside.  In the same loop it evaluates demand D and
+    supply S once per cell: a junction with one flux on both sides takes
+    all cells in one pass, any other one pass a side.  Interior
     interfaces carry min(D[:-1], S[1:]), the junction
     min(A, D_left[-1], S_right[0]), and each outer edge the Godunov
     flux min(D, S) of its cell against a copy of itself; with
@@ -170,7 +176,7 @@ class FluxKernel:
     With ``batch_shape`` ``(batch,)`` the kernel takes ``(batch, cells)``
     values, one state a row, and works on the last axis; each row's
     fluxes are bit for bit those of the row alone, the junction and edge
-    minima taking the first of equals as Python's ``min`` does.
+    minima taking the first of equals (``first_min``, Python's ``min``).
     """
 
     def __init__(self, j: JunctionModel, grid: Grid, batch_shape: tuple[int, ...] = ()):
@@ -187,17 +193,11 @@ class FluxKernel:
         # one flux on both sides: clip and envelopes take all cells in one pass
         self._sides = ((j.left, np.s_[...]),) if j.left == j.right else self._halves
 
-    def clamp(self, values: np.ndarray) -> np.ndarray:
-        """Clip each side of ``values`` to [0, R] into the kernel's work buffer; no range check."""
-        p = self._clamped
-        for flux, side in self._sides:
-            np.clip(values[side], 0.0, flux.rmax, out=p[side])
-        return p
-
     def __call__(self, values: np.ndarray, plain_edges: bool = False) -> np.ndarray:
         j, nl = self.j, self.n_left
-        p, d, s, f = self.clamp(values), self._demand, self._supply, self._fluxes
-        for flux, side in self._sides:
+        p, d, s, f = self._clamped, self._demand, self._supply, self._fluxes
+        for flux, side in self._sides:  # disjoint sides: each is clipped, then enveloped, alone
+            np.clip(values[side], 0.0, flux.rmax, out=p[side])
             flux.envelopes(p[side], d[side], s[side])
         # every interior interface in one pass; the junction's entry is overwritten below
         np.minimum(d[..., :-1], s[..., 1:], out=f[..., 1:-1])
@@ -211,19 +211,14 @@ class FluxKernel:
                 f[0] = min(d[0], s[0])
                 f[-1] = min(d[-1], s[-1])
             return f
-        f[:, nl] = _first_min(_first_min(j.limiter, d[:, nl - 1]), s[:, nl])
+        f[:, nl] = first_min(first_min(j.limiter, d[:, nl - 1]), s[:, nl])
         if plain_edges:
             f[:, 0] = np.where(p[:, 0] <= j.left.p_crit, d[:, 0], s[:, 0])
             f[:, -1] = np.where(p[:, -1] <= j.right.p_crit, d[:, -1], s[:, -1])
         else:
-            f[:, 0] = _first_min(d[:, 0], s[:, 0])
-            f[:, -1] = _first_min(d[:, -1], s[:, -1])
+            f[:, 0] = first_min(d[:, 0], s[:, 0])
+            f[:, -1] = first_min(d[:, -1], s[:, -1])
         return f
-
-
-def _first_min(a, b) -> np.ndarray:
-    """Entrywise min(a, b) as Python's ``min`` takes it: a unless b < a."""
-    return np.where(b < a, b, a)
 
 
 def step(state: CellField, j: JunctionModel, dt: float) -> CellField:

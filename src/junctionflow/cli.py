@@ -299,15 +299,6 @@ def _write_manifest(out_dir: Path, cfg: ScenarioConfig, subcommand: str, **field
     )
 
 
-def _write_xy_csv(path: Path, header: tuple[str, str], xs: np.ndarray, ys: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"{header[0]},{header[1]}\n")
-        for k in range(0, len(xs), formats._BLOCK_ROWS):
-            block = slice(k, k + formats._BLOCK_ROWS)
-            rows = zip(formats._float_reprs(xs[block]), formats._float_reprs(ys[block]))
-            fh.write("".join([f"{x},{y}\n" for x, y in rows]))
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -338,7 +329,7 @@ def _cmd_riemann(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
     profile = riemann_profile(model, pair[0], pair[1], xi)
 
     formats.write_manifest(out_dir / "riemann.json", header)
-    _write_xy_csv(out_dir / "riemann_profile.csv", ("xi", "rho"), xi, profile)
+    formats.write_xy_csv(out_dir / "riemann_profile.csv", ("xi", "rho"), xi, profile)
     _write_manifest(
         out_dir,
         cfg,
@@ -405,7 +396,7 @@ def _cmd_exact_hj(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
         values = hj.exact_valley_capped(model, level, t, xs)
 
     name = "exact_hj.csv"
-    _write_xy_csv(out_dir / name, ("x", "u"), xs, values)
+    formats.write_xy_csv(out_dir / name, ("x", "u"), xs, values)
     _write_manifest(
         out_dir,
         cfg,

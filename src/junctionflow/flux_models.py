@@ -34,9 +34,11 @@ validate every call, reporting the first offending entry of an array;
 ``envelopes`` is the unvalidated form of demand and supply for the
 schemes' inner loop.  A march checks its datum once, at entry (``clamp``
 for densities, ``hj_solver.validate_lip`` for slopes); each step then
-only clips, once per distinct flux (``cl_solver.FluxKernel``), and
-needs demand and supply of the same cells, bit for bit as
-``demand``/``supply`` give them.
+only clips, one ``np.clip`` per distinct flux in ``cl_solver.FluxKernel``'s
+loop over the sides, and needs demand and supply of the same cells, bit
+for bit as ``demand``/``supply`` give them.  The kernel's junction and
+edge minima, ``junction`` and the closed forms break ties with
+``first_min``/``first_max``: the first of equals, as Python's ``min``/``max``.
 
 The polygon evaluates its envelopes branch by branch: demand from the
 rising segments only, supply from the falling ones only, segment j as
@@ -83,6 +85,16 @@ def float_or_array(out) -> ArrayLike:
 def first_entry(values: np.ndarray, mask: np.ndarray) -> float:
     """The first entry of ``values`` where ``mask`` (same shape) holds."""
     return float(values[mask].flat[0])
+
+
+def first_min(a, b) -> np.ndarray:
+    """Entrywise min(a, b) as Python's ``min`` takes it, the first of equals: a unless b < a."""
+    return np.where(b < a, b, a)
+
+
+def first_max(a, b) -> np.ndarray:
+    """Entrywise max(a, b) as Python's ``max`` takes it, the first of equals: a unless b > a."""
+    return np.where(b > a, b, a)
 
 
 class ConcaveFlux:

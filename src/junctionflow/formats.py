@@ -17,12 +17,13 @@ it.  The checks are coordinates, side tags and finite values.
 ``repr`` (0.65 to 1 µs a float) is most of a write, so the writers call
 it once per float they print and do little else per row.  A row's
 grid-only text (its coordinate and side tag) depends on the grid alone:
-it is kept for the last grid written, for its cells and its nodes alike,
-as ``%``-templates of ``_BLOCK_ROWS`` rows (about 22 bytes a row), each
-built from one ``repr`` per coordinate joined per run of one side tag.
-Later snapshots of a solve, of either kind, or the inputs of an external
-batch, fill it in again.  Only that one grid's text stays resident:
-writing another grid drops both kinds before it builds its own.  So the
+``_grid_text``, a one-entry ``functools.lru_cache`` over the grid, keeps
+the last grid's, one set of ``%``-templates of ``_BLOCK_ROWS`` rows
+(about 22 bytes a row) per kind, cells or nodes, built on the kind's
+first write from one ``repr`` per coordinate joined per run of one side
+tag; later writes of either kind fill them in again.  The cache drops
+the last grid's text once it has made the next grid's empty entry,
+before any template is built, so one grid's text is resident.  The
 first write of each kind on a grid costs two ``repr`` calls a row and
 each later write one.  Values are formatted a block at a time, once per
 run of bit-identical neighbours in the block (compared as ``int64``, so
@@ -34,6 +35,7 @@ potential file) is one ``repr`` a float and nothing more.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -67,12 +69,11 @@ def _layout(grid: Grid, kind: str) -> tuple[np.ndarray, tuple[tuple[str, int], .
 # per row, short enough that a block's strings are a small tuple.
 _BLOCK_ROWS = 4096
 
-# (grid, {"cells" | "nodes": templates}) of the last grid written, with
-# each kind of row written on it since.  The entry is replaced, never
-# changed in place.  Templates are a function of (grid, kind) alone, so
-# callers sharing them see no change in any file; a thread that races
-# another builds them again.
-_grid_text: tuple = (None, ())
+
+@functools.lru_cache(maxsize=1)
+def _grid_text(grid: Grid) -> dict[str, tuple[str, ...]]:
+    """The last grid's row templates by kind; each kind's first write adds them (racing threads may build twice)."""
+    return {}
 
 
 def _float_reprs(values: np.ndarray) -> tuple[str, ...]:
@@ -90,14 +91,10 @@ def _float_reprs(values: np.ndarray) -> tuple[str, ...]:
 
 def _row_templates(grid: Grid, kind: str) -> tuple[str, ...]:
     """The ``x,%s,side\r\n`` rows of ``grid``'s cells or nodes, ``_BLOCK_ROWS`` to a string."""
-    global _grid_text
-    key, kinds = _grid_text
-    if key != grid:
-        _grid_text, kinds = (None, ()), {}  # the last grid's text goes before this one's is built
+    kinds = _grid_text(grid)  # the last grid's text goes before this one's is built
     templates = kinds.get(kind)
     if templates is None:
-        templates = tuple(_template_blocks(*_layout(grid, kind)))
-        _grid_text = (grid, {**kinds, kind: templates})
+        templates = kinds[kind] = tuple(_template_blocks(*_layout(grid, kind)))
     return templates
 
 
@@ -221,6 +218,15 @@ def _file_grid(path, xs: np.ndarray, kind: str) -> Grid:
             if np.array_equal(_layout(candidate, kind)[0], xs):
                 return candidate
     return grid
+
+
+def write_xy_csv(path, header: tuple[str, str], xs: np.ndarray, ys: np.ndarray) -> None:
+    """Write two float columns under ``header``, one ``x,y`` line per row ended by ``\n``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"{header[0]},{header[1]}\n")
+        for k in range(0, len(xs), _BLOCK_ROWS):
+            rows = zip(_float_reprs(xs[k : k + _BLOCK_ROWS]), _float_reprs(ys[k : k + _BLOCK_ROWS]))
+            fh.write("".join([f"{x},{y}\n" for x, y in rows]))
 
 
 def write_manifest(path, payload: dict) -> None:

@@ -42,7 +42,7 @@ whole grid of nodes, or a batch of (t, x, level) samples, is one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,7 +50,7 @@ import numpy as np
 from .cl_solver import CellField, FluxKernel, Grid, Leg, batch_start, plan_march
 from .errors import DomainError, GridMismatchError
 from .flux_models import (
-    BOUNDARY_TOL, ArrayLike, CanonicalDatum, DatumShape, canonical_eval, first_entry, float_or_array,
+    BOUNDARY_TOL, ArrayLike, CanonicalDatum, DatumShape, canonical_eval, first_entry, first_max, float_or_array,
 )
 from .junction import JunctionModel
 
@@ -71,7 +71,7 @@ class NodeField:
             )
 
     def copy(self) -> "NodeField":
-        return NodeField(grid=self.grid, values=self.values.copy(), time=self.time)
+        return replace(self, values=self.values.copy())
 
     def slopes(self) -> np.ndarray:
         return np.diff(self.values) / self.grid.dx
@@ -175,9 +175,7 @@ def exact_valley_capped(j: JunctionModel, level: ArrayLike, t: ArrayLike, x: Arr
     t = _check_time(t)
     valley = CanonicalDatum(shape=DatumShape.PHI_CHECK, level=level)
     down = canonical_eval(valley, j, x) - t * valley.level
-    cut = exact_roof_drain(j, j.limiter, t, x)
-    # max(down, cut) as Python's max takes it: the first of equals
-    return float_or_array(np.where(cut > down, cut, down))
+    return float_or_array(first_max(down, exact_roof_drain(j, j.limiter, t, x)))
 
 
 # -- discrete evolutions ---------------------------------------------------

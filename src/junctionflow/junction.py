@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LevelError
-from .flux_models import ArrayLike, ConcaveFlux, float_or_array
+from .flux_models import ArrayLike, ConcaveFlux, first_max, first_min, float_or_array
 
 #: Slack for wave-speed sign assertions (they hold exactly up to round-off).
 _SPEED_TOL = 1e-9
@@ -86,10 +86,7 @@ def junction_flux(j: JunctionModel, q_left: ArrayLike, q_right: ArrayLike) -> Ar
     Ties go to the first of equals in the order cap, demand, supply, as
     Python's ``min`` and the scheme's kernel take them (so +0.0 beats -0.0).
     """
-    d = j.left.demand(q_left)
-    s = j.right.supply(q_right)
-    capped = np.where(d < j.limiter, d, j.limiter)
-    return float_or_array(np.where(s < capped, s, capped))
+    return float_or_array(first_min(first_min(j.limiter, j.left.demand(q_left)), j.right.supply(q_right)))
 
 
 def _unpack(pair) -> tuple[ArrayLike, ArrayLike]:
@@ -201,10 +198,7 @@ def classical_riemann(flux: ConcaveFlux, a: float, b: float, xi: ArrayLike) -> A
     if a < b:
         sigma = (flux.eval(b) - flux.eval(a)) / (b - a)
         return float_or_array(np.where(xi <= sigma, a, b))
-    fan = flux.inv_derivative(xi)
-    # min(a, max(b, fan)) as Python's min/max take it: the first of equals
-    above = np.where(fan > b, fan, b)
-    return float_or_array(np.where(above < a, above, a))
+    return float_or_array(first_min(a, first_max(b, flux.inv_derivative(xi))))
 
 
 def riemann_profile(j: JunctionModel, rho_left: float, rho_right: float, xi: ArrayLike) -> ArrayLike:

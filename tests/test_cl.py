@@ -67,6 +67,17 @@ def test_grid_from_domain_places_junction_on_interface():
     assert np.all(np.abs(centers) >= g.dx / 2 - 1e-12)
 
 
+@pytest.mark.parametrize(
+    "x_min, x_max, n_cells, dx",
+    [(-5e-324, 5e-324, 80, "0.0"), (-math.inf, math.inf, 10, "inf"), (-math.inf, 1.0, 10, "inf")],
+    ids=["width-rounds-to-zero", "both-ends-infinite", "left-end-infinite"],
+)
+def test_grid_from_domain_checks_its_width_before_dividing(x_min, x_max, n_cells, dx):
+    """A width that rounds to 0 or overflows is the grid's own error, not a bare ZeroDivision or NaN one."""
+    with pytest.raises(GridMismatchError, match=f"^dx must be positive, finite and not subnormal, got {dx}$"):
+        Grid.from_domain(x_min, x_max, n_cells)
+
+
 def test_grid_rejects_bad_shapes():
     with pytest.raises(Exception):
         Grid(n_left=0, n_right=10, dx=0.1)

@@ -21,6 +21,7 @@ from junctionflow import (
     canonical_eval,
     flux_from_config,
 )
+from junctionflow.flux_models import first_max, first_min
 
 # -- frozen point values ------------------------------------------------------
 
@@ -276,3 +277,36 @@ def test_vectorized_eval_matches_scalar(default_flux, pw_flux):
         vec = flux.eval(ps)
         scal = np.array([flux.eval(float(p)) for p in ps])
         np.testing.assert_array_equal(vec, scal)
+
+
+# -- first-of-equals min and max ----------------------------------------------
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize(
+    "a, b, low, high",
+    [
+        (0.0, -0.0, 0.0, 0.0),
+        (-0.0, 0.0, -0.0, -0.0),
+        (0.25, math.nan, 0.25, 0.25),
+        (-1.0, 2.0, -1.0, 2.0),
+        (2.0, -1.0, -1.0, 2.0),
+    ],
+)
+def test_first_min_and_max_are_pythons_min_and_max_bit_for_bit(a, b, low, high):
+    """Ties, signed zeros included, keep the first argument; so does a NaN second argument."""
+    assert _bits(first_min(a, b)) == _bits(min(a, b)) == _bits(low)
+    assert _bits(first_max(a, b)) == _bits(max(a, b)) == _bits(high)
+
+
+def test_first_min_and_max_broadcast_a_scalar_against_an_array():
+    """Each entry is Python's ``min``/``max`` of its pair, the scalar first or second."""
+    b = np.array([-0.0, 0.0, 0.1, -0.1, math.nan])
+    for a in (0.0, -0.0, math.nan):
+        for fn, pick in ((first_min, min), (first_max, max)):
+            for got, pairs in ((fn(a, b), [(a, v) for v in b.tolist()]), (fn(b, a), [(v, a) for v in b.tolist()])):
+                assert got.shape == b.shape
+                assert got.tobytes() == np.array([pick(x, y) for x, y in pairs]).tobytes()

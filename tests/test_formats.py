@@ -27,7 +27,7 @@ from junctionflow import (
     write_manifest,
     write_node_csv,
 )
-from junctionflow.cli import _write_xy_csv
+from junctionflow.formats import write_xy_csv
 
 
 def test_cell_csv_roundtrip_bitwise(tmp_path):
@@ -256,7 +256,7 @@ def test_xy_writer_matches_the_row_loop_bytes(columns):
     xs, ys = columns
     with tempfile.TemporaryDirectory() as td:
         got, want = Path(td) / "got.csv", Path(td) / "want.csv"
-        _write_xy_csv(got, ("xi", "rho"), xs, ys)
+        write_xy_csv(got, ("xi", "rho"), xs, ys)
         _write_xy_csv_reference(want, ("xi", "rho"), xs, ys)
         assert got.read_bytes() == want.read_bytes()
 
@@ -266,6 +266,6 @@ def test_xy_writer_over_more_than_two_blocks_matches_the_row_loop_bytes(tmp_path
     xs = np.linspace(-2.0, 2.0, n)
     ys = np.resize(np.repeat([*SPECIAL, 0.5], 1500), n)  # runs of each special value, some across a block boundary
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    _write_xy_csv(got, ("x", "u"), xs, ys)
+    write_xy_csv(got, ("x", "u"), xs, ys)
     _write_xy_csv_reference(want, ("x", "u"), xs, ys)
     assert got.read_bytes() == want.read_bytes()

@@ -6,8 +6,9 @@ kind on one grid, in any order and any number of times, builds two sets,
 and a write on another grid drops both before it builds its own.  The
 builds are counted with a spy on ``formats._template_blocks``, looked
 up on the module at call time.  Once both kinds are kept, a write of
-either holds less than two blocks of strings (traced with
-``tracemalloc``).
+either holds less than two blocks of strings, and a first write on
+another grid peaks less than its own templates above what the last
+grid's text held, so that text went first (traced with ``tracemalloc``).
 
 A read names the first mis-tagged row of a file and the tag its side
 expects; those messages are frozen here.
@@ -15,7 +16,10 @@ expects; those messages are frozen here.
 
 from __future__ import annotations
 
+import functools
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +42,7 @@ from junctionflow.cli import main
 @pytest.fixture
 def builds(monkeypatch):
     """A fresh memo, and a list that gets one entry per template set built."""
-    monkeypatch.setattr(formats, "_grid_text", (None, ()))
+    monkeypatch.setattr(formats, "_grid_text", functools.lru_cache(maxsize=1)(formats._grid_text.__wrapped__))
     built = []
     template_blocks = formats._template_blocks
 
@@ -88,7 +92,7 @@ def test_another_grid_drops_both_kinds(builds, tmp_path):
 
 
 def test_a_write_of_either_kind_holds_under_two_blocks_of_strings_once_both_are_kept(monkeypatch, tmp_path):
-    monkeypatch.setattr(formats, "_grid_text", (None, ()))
+    monkeypatch.setattr(formats, "_grid_text", functools.lru_cache(maxsize=1)(formats._grid_text.__wrapped__))
     u_path, rho_path = tmp_path / "u.csv", tmp_path / "rho.csv"
     potential = _run_free_potential()
     density = CellField(MEMORY_GRID, np.diff(potential.values))  # no two neighbours equal either
@@ -97,6 +101,25 @@ def test_a_write_of_either_kind_holds_under_two_blocks_of_strings_once_both_are_
     for path, write, state in ((u_path, write_node_csv, potential), (rho_path, write_cell_csv, density)):
         peak = _peak_traced_bytes(lambda: write(path, state))
         assert peak < 2 * _block_strings(path, [1])
+
+
+def test_another_grids_text_is_built_only_after_the_last_grids_is_dropped(monkeypatch, tmp_path):
+    monkeypatch.setattr(formats, "_grid_text", functools.lru_cache(maxsize=1)(formats._grid_text.__wrapped__))
+    path, potential = tmp_path / "state.csv", _run_free_potential()
+    other = Grid(MEMORY_GRID.n_left, MEMORY_GRID.n_right, 1.5 * MEMORY_GRID.dx)  # as many rows, other coordinates
+    density = np.diff(potential.values)
+    tracemalloc.start()
+    try:
+        write_cell_csv(path, CellField(MEMORY_GRID, density))
+        write_node_csv(path, potential)  # both kinds of the first grid kept
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_cell_csv(path, CellField(other, density))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    templates = sum(map(sys.getsizeof, formats._row_templates(other, "cells")))
+    assert peak - held < templates
 
 
 # -- side tags read back ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ at a time, never a whole file's (traced with ``tracemalloc``).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -36,7 +37,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from junctionflow import CellField, Grid, NodeField, formats, write_cell_csv, write_node_csv
-from junctionflow.cli import _write_xy_csv, main
+from junctionflow.cli import main
+from junctionflow.formats import write_xy_csv
 
 # Rows a block holds while the properties run, in place of ``formats._BLOCK_ROWS``.
 BLOCK_ROWS = 16
@@ -46,7 +48,7 @@ BLOCK_ROWS = 16
 def small_blocks(monkeypatch):
     """``BLOCK_ROWS``-row blocks, and no row text kept from blocks of another size, for one test."""
     monkeypatch.setattr(formats, "_BLOCK_ROWS", BLOCK_ROWS)
-    monkeypatch.setattr(formats, "_grid_text", (None, ()))
+    monkeypatch.setattr(formats, "_grid_text", functools.lru_cache(maxsize=1)(formats._grid_text.__wrapped__))
 
 
 def _fmt(v: float) -> str:
@@ -299,7 +301,7 @@ def test_a_write_on_the_kept_grid_holds_under_two_blocks_of_strings(tmp_path):
 
 
 def test_a_first_write_holds_under_its_templates_and_two_blocks_of_strings(monkeypatch, tmp_path):
-    monkeypatch.setattr(formats, "_grid_text", (None, ()))
+    monkeypatch.setattr(formats, "_grid_text", functools.lru_cache(maxsize=1)(formats._grid_text.__wrapped__))
     path, state = tmp_path / "u.csv", _run_free_potential()
     peak = _peak_traced_bytes(lambda: write_node_csv(path, state))
     templates = sum(map(sys.getsizeof, formats._row_templates(MEMORY_GRID, "nodes")))
@@ -310,5 +312,5 @@ def test_an_xy_write_holds_under_a_few_blocks_of_strings(tmp_path):
     xs = np.linspace(-2.0, 2.0, 100_001)
     ys = np.cumsum(np.random.default_rng(0).uniform(0.5, 1.0, xs.size))
     path = tmp_path / "xy.csv"
-    peak = _peak_traced_bytes(lambda: _write_xy_csv(path, ("x", "u"), xs, ys))
+    peak = _peak_traced_bytes(lambda: write_xy_csv(path, ("x", "u"), xs, ys))
     assert peak < 3 * _block_strings(path, [0, 1])
