@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from junctionflow import JunctionModel, PiecewiseLinearFlux, QuadraticFlux, run_battery
+from junctionflow import JunctionModel, PiecewiseLinearFlux, QuadraticFlux, formats, run_battery
 from junctionflow.cli import parse_config
 
 DESK_DX = 1.0 / 200.0
@@ -56,6 +56,14 @@ class AcceptanceRecorder:
 @pytest.fixture
 def acceptance() -> AcceptanceRecorder:
     return AcceptanceRecorder()
+
+
+@pytest.fixture
+def fresh_row_text():
+    """``formats``' own row-text memo, emptied before the test and again after it."""
+    formats._grid_text.cache_clear()
+    yield
+    formats._grid_text.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -16,7 +16,6 @@ expects; those messages are frozen here.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 import tracemalloc
@@ -40,9 +39,8 @@ from junctionflow.cli import main
 
 
 @pytest.fixture
-def builds(monkeypatch):
+def builds(monkeypatch, fresh_row_text):
     """A fresh memo, and a list that gets one entry per template set built."""
-    monkeypatch.setattr(formats, "_grid_text", functools.lru_cache(maxsize=1)(formats._grid_text.__wrapped__))
     built = []
     template_blocks = formats._template_blocks
 
@@ -91,8 +89,7 @@ def test_another_grid_drops_both_kinds(builds, tmp_path):
     assert builds == [12, 13, 12, 12]
 
 
-def test_a_write_of_either_kind_holds_under_two_blocks_of_strings_once_both_are_kept(monkeypatch, tmp_path):
-    monkeypatch.setattr(formats, "_grid_text", functools.lru_cache(maxsize=1)(formats._grid_text.__wrapped__))
+def test_a_write_of_either_kind_holds_under_two_blocks_of_strings_once_both_are_kept(fresh_row_text, tmp_path):
     u_path, rho_path = tmp_path / "u.csv", tmp_path / "rho.csv"
     potential = _run_free_potential()
     density = CellField(MEMORY_GRID, np.diff(potential.values))  # no two neighbours equal either
@@ -103,8 +100,7 @@ def test_a_write_of_either_kind_holds_under_two_blocks_of_strings_once_both_are_
         assert peak < 2 * _block_strings(path, [1])
 
 
-def test_another_grids_text_is_built_only_after_the_last_grids_is_dropped(monkeypatch, tmp_path):
-    monkeypatch.setattr(formats, "_grid_text", functools.lru_cache(maxsize=1)(formats._grid_text.__wrapped__))
+def test_another_grids_text_is_built_only_after_the_last_grids_is_dropped(fresh_row_text, tmp_path):
     path, potential = tmp_path / "state.csv", _run_free_potential()
     other = Grid(MEMORY_GRID.n_left, MEMORY_GRID.n_right, 1.5 * MEMORY_GRID.dx)  # as many rows, other coordinates
     density = np.diff(potential.values)

@@ -23,7 +23,6 @@ at a time, never a whole file's (traced with ``tracemalloc``).
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import sys
@@ -45,10 +44,9 @@ BLOCK_ROWS = 16
 
 
 @pytest.fixture
-def small_blocks(monkeypatch):
+def small_blocks(monkeypatch, fresh_row_text):
     """``BLOCK_ROWS``-row blocks, and no row text kept from blocks of another size, for one test."""
     monkeypatch.setattr(formats, "_BLOCK_ROWS", BLOCK_ROWS)
-    monkeypatch.setattr(formats, "_grid_text", functools.lru_cache(maxsize=1)(formats._grid_text.__wrapped__))
 
 
 def _fmt(v: float) -> str:
@@ -300,8 +298,7 @@ def test_a_write_on_the_kept_grid_holds_under_two_blocks_of_strings(tmp_path):
     assert peak < 2 * _block_strings(path, [1])
 
 
-def test_a_first_write_holds_under_its_templates_and_two_blocks_of_strings(monkeypatch, tmp_path):
-    monkeypatch.setattr(formats, "_grid_text", functools.lru_cache(maxsize=1)(formats._grid_text.__wrapped__))
+def test_a_first_write_holds_under_its_templates_and_two_blocks_of_strings(fresh_row_text, tmp_path):
     path, state = tmp_path / "u.csv", _run_free_potential()
     peak = _peak_traced_bytes(lambda: write_node_csv(path, state))
     templates = sum(map(sys.getsizeof, formats._row_templates(MEMORY_GRID, "nodes")))
