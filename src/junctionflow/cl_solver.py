@@ -11,12 +11,13 @@ The grid places x = 0 on a cell interface, cells are uniform with a
 shared width on both sides, and every update runs under the CFL bound
 dt <= cfl * dx / L with L = max |H'| over both fluxes.
 
-``FluxKernel`` computes the interface fluxes: each distinct flux
-clipped once per step, demand and supply once per cell.  The node
-scheme of ``hj_solver`` steps with the same kernel applied to slopes.
-A march checks its datum's range once, at entry: under the CFL bound
-the scheme is monotone, so its states stay inside [0, R] up to the
-round-off that each step's clip absorbs, and no step checks again.
+``FluxKernel`` computes the interface fluxes: demand and supply once
+per cell, each flux clipping its own two branches of the values.  The
+node scheme of ``hj_solver`` steps with the same kernel applied to
+slopes.  A march checks its datum's range once, at entry: under the
+CFL bound the scheme is monotone, so its states stay inside [0, R] up
+to the round-off that each step's branch clips absorb, and no step
+checks again.
 ``_march_cells`` is the one density march, building a ``CellField``
 only at snapshots; ``solve``, ``solve_batch`` (states of one grid as
 the rows of one array, bit for bit their ``solve`` runs) and ``step``
@@ -155,23 +156,26 @@ def godunov_flux(flux: ConcaveFlux, a, b):
 class FluxKernel:
     """Interface fluxes of a junction on a grid: the update shared by both schemes.
 
-    A call clips ``values`` (densities, or the slopes of a potential)
-    to [0, R], one ``np.clip`` per distinct flux, without a range check:
-    the march checked its datum at entry, and a monotone step leaves
-    only round-off outside.  In the same loop it evaluates demand D and
-    supply S once per cell: a junction with one flux on both sides takes
+    A call hands ``values`` (densities, or the slopes of a potential)
+    unclipped and without a range check to each distinct flux's
+    ``envelopes``: the march checked its datum at entry, a monotone step
+    leaves only round-off outside [0, R], and each flux clips its demand
+    and supply branches into one buffer.  Demand D and supply S are
+    evaluated once per cell: a junction with one flux on both sides takes
     all cells in one pass, any other one pass a side.  Interior
     interfaces carry min(D[:-1], S[1:]), the junction
     min(A, D_left[-1], S_right[0]), and each outer edge the Godunov
     flux min(D, S) of its cell against a copy of itself; with
     ``plain_edges`` the outer edges carry H of the edge value instead
     (the node scheme's arithmetic; the two differ by at most an ulp near
-    p_crit).  Work arrays are allocated once; per step a march allocates
-    only what ``envelopes`` takes for each side: two boolean masks, one
-    at a time, for a quadratic; one boolean mask for a polygon, and a
-    float work array too when more than one of its segments falls.  The
-    returned fluxes are the kernel's own buffer, overwritten by the next
-    call.
+    p_crit), H being D up to p_crit and S beyond, tested on the unclipped
+    value as on its clip.  Work arrays are allocated once; per step a
+    march allocates nothing for a quadratic, or for a triangle that
+    needs no copy of a vertex height (the README's; see ``flux_models``).
+    Any other polygon takes one boolean mask at a time, for each such
+    copy and each segment of a branch after the first, and a float work
+    array when more than one of its segments falls.  The returned fluxes are
+    the kernel's own buffer, overwritten by the next call.
 
     With ``batch_shape`` ``(batch,)`` the kernel takes ``(batch, cells)``
     values, one state a row, and works on the last axis; each row's
@@ -183,38 +187,37 @@ class FluxKernel:
         self.j = j
         self.n_left = grid.n_left
         shape = (*batch_shape, grid.n_cells)
-        self._clamped = np.empty(shape)
+        self._branch = np.empty(shape)
         self._demand = np.empty(shape)
         self._supply = np.empty(shape)
         self._fluxes = np.empty((*batch_shape, grid.n_cells + 1))
         # index tuples built once: the inner loop indexes with them every step
         nl = self.n_left
         self._halves = ((j.left, np.s_[..., :nl]), (j.right, np.s_[..., nl:]))
-        # one flux on both sides: clip and envelopes take all cells in one pass
+        # one flux on both sides: the envelopes take all cells in one pass
         self._sides = ((j.left, np.s_[...]),) if j.left == j.right else self._halves
 
     def __call__(self, values: np.ndarray, plain_edges: bool = False) -> np.ndarray:
         j, nl = self.j, self.n_left
-        p, d, s, f = self._clamped, self._demand, self._supply, self._fluxes
-        for flux, side in self._sides:  # disjoint sides: each is clipped, then enveloped, alone
-            np.clip(values[side], 0.0, flux.rmax, out=p[side])
-            flux.envelopes(p[side], d[side], s[side])
+        b, d, s, f = self._branch, self._demand, self._supply, self._fluxes
+        for flux, side in self._sides:
+            flux.envelopes(values[side], d[side], s[side], b[side])
         # every interior interface in one pass; the junction's entry is overwritten below
         np.minimum(d[..., :-1], s[..., 1:], out=f[..., 1:-1])
-        if p.ndim == 1:
+        if values.ndim == 1:
             f[nl] = min(j.limiter, d[nl - 1], s[nl])
             if plain_edges:
                 # H(p) is D(p) up to p_crit and S(p) from there on
-                f[0] = d[0] if p[0] <= j.left.p_crit else s[0]
-                f[-1] = d[-1] if p[-1] <= j.right.p_crit else s[-1]
+                f[0] = d[0] if values[0] <= j.left.p_crit else s[0]
+                f[-1] = d[-1] if values[-1] <= j.right.p_crit else s[-1]
             else:
                 f[0] = min(d[0], s[0])
                 f[-1] = min(d[-1], s[-1])
             return f
         f[:, nl] = first_min(first_min(j.limiter, d[:, nl - 1]), s[:, nl])
         if plain_edges:
-            f[:, 0] = np.where(p[:, 0] <= j.left.p_crit, d[:, 0], s[:, 0])
-            f[:, -1] = np.where(p[:, -1] <= j.right.p_crit, d[:, -1], s[:, -1])
+            f[:, 0] = np.where(values[:, 0] <= j.left.p_crit, d[:, 0], s[:, 0])
+            f[:, -1] = np.where(values[:, -1] <= j.right.p_crit, d[:, -1], s[:, -1])
         else:
             f[:, 0] = first_min(d[:, 0], s[:, 0])
             f[:, -1] = first_min(d[:, -1], s[:, -1])
@@ -344,7 +347,7 @@ def _march_cells(states: Sequence[CellField], j: JunctionModel, legs: Sequence[L
     grid = states[0].grid
     kernel = FluxKernel(j, grid, v.shape[:-1])
     for flux, side in kernel._halves:
-        flux.clamp(v[side], out=kernel._clamped[side])
+        flux.clamp(v[side], out=kernel._branch[side])
     dx = grid.dx
     dv = np.empty_like(v)
     right_of, left_of = np.s_[..., 1:], np.s_[..., :-1]

@@ -34,22 +34,35 @@ validate every call, reporting the first offending entry of an array;
 ``envelopes`` is the unvalidated form of demand and supply for the
 schemes' inner loop.  A march checks its datum once, at entry (``clamp``
 for densities, ``hj_solver.validate_lip`` for slopes); each step then
-only clips, one ``np.clip`` per distinct flux in ``cl_solver.FluxKernel``'s
-loop over the sides, and needs demand and supply of the same cells, bit
-for bit as ``demand``/``supply`` give them.  The kernel's junction and
-edge minima, ``junction`` and the closed forms break ties with
-``first_min``/``first_max``: the first of equals, as Python's ``min``/``max``.
+hands its values, inside [0, rmax] up to round-off, to ``envelopes``
+unclipped, once per distinct flux in ``cl_solver.FluxKernel``'s loop
+over the sides, and needs demand and supply of the same cells, bit for
+bit as ``demand``/``supply`` give them.  So each envelope is H of its
+own branch, clip(p, 0, p_crit) or clip(p, p_crit, rmax), clipped with
+``ndarray.clip`` (``np.clip``'s ufunc at half its per-call cost on
+small arrays): a clip to [0, rmax] and then min or max with p_crit is
+that clip, signed zeros included, and H(p_crit) is ``_peak_flow``.
+The kernel's junction and edge minima, ``junction`` and the closed
+forms break ties with ``first_min``/``first_max``: the first of equals,
+as Python's ``min``/``max``.
 
 The polygon evaluates its envelopes branch by branch: demand from the
 rising segments only, supply from the falling ones only, segment j as
 slopes[j] * (p - px[j]) + hy[j] on px[j] <= p < px[j+1], which is
-``np.interp``'s own arithmetic.  Its H is demand up to p_crit and supply
-beyond, so the kernel and the pointwise methods agree by construction,
-and every value is bit for bit what ``np.interp`` gives.  Each segment
-costs one affine pass over the array: with 2 segments (the README's
-triangle) this takes about half the time of ``np.interp``'s
-per-element search, at 4-5 segments about as long, beyond that longer
-(ROADMAP records the crossover).  ``np.interp`` remains in ``roots``.
+``np.interp``'s own arithmetic.  The first falling segment gives
+hy[ivert] at p_crit exactly.  A vertex height is copied in under a mask
+only where a formula misses it bit for bit, as ``__post_init__`` finds:
+hy[ivert] at p_crit on the last rising segment, hy[-1] at rmax on the
+last falling one, and a height of -0.0 at p = 0.  The README's triangle
+needs no copy; its envelopes then take eight array passes and no mask.
+A branch of several segments copies each segment after the first in
+under its own mask.  Its H is demand up to p_crit and supply beyond, so
+the kernel and the pointwise methods agree by construction, and every
+value is bit for bit what ``np.interp`` gives.  Each segment costs one
+affine pass over the array: with 2 segments (the README's triangle)
+this takes about half the time of ``np.interp``'s per-element search,
+at 4-5 segments about as long, beyond that longer (ROADMAP records the
+crossover).  ``np.interp`` remains in ``roots``.
 """
 
 from __future__ import annotations
@@ -136,7 +149,8 @@ class ConcaveFlux:
     def _flow_into(self, p: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """Write H(p) into ``out`` for densities already inside [0, rmax]; unvalidated.
 
-        ``work`` (same shape) may be overwritten.  Returns ``out``.
+        ``work`` (same shape) may be overwritten, and may be ``p`` itself.
+        Returns ``out``.
         """
         raise NotImplementedError
 
@@ -200,23 +214,22 @@ class ConcaveFlux:
         """Nonincreasing envelope of H: capacity up to p_crit, H(p) beyond."""
         return float_or_array(self._flow(np.maximum(self.clamp(p), self.p_crit)))
 
-    def envelopes(self, p: np.ndarray, demand_out: np.ndarray, supply_out: np.ndarray) -> None:
-        """Write demand(p) and supply(p) for an array p already clamped to [0, rmax].
+    def envelopes(self, values: np.ndarray, demand_out: np.ndarray, supply_out: np.ndarray, branch: np.ndarray) -> None:
+        """Write demand and supply of ``values``, densities inside [0, rmax] up to round-off; unvalidated.
 
-        Bit for bit the values of ``demand``/``supply``, which evaluate H
-        at min(p, p_crit) and max(p, p_crit), but without validation: the
-        inner loop of the schemes, which clip once per step.  Here H(p) is
-        evaluated once and its peak copied into each envelope's flat side;
-        the polygon writes each envelope from its own monotone branch,
-        segment by segment (see the module docstring).  Neither allocates a
-        float array of p's size, except a polygon with more than one falling
-        segment, which takes one.
+        Bit for bit what ``demand``/``supply`` give for the clamped values,
+        but without validation: the inner loop of the schemes.  Each
+        envelope is H of its branch, clip(values, 0, p_crit) or
+        clip(values, p_crit, rmax), clipped into ``branch`` (same shape,
+        overwritten) and evaluated there in place.  Neither allocates a
+        float array of the values' size, except a polygon with more than
+        one falling segment, which takes one.
         """
         pc = self.p_crit
-        self._flow_into(p, demand_out, supply_out)
-        np.copyto(supply_out, demand_out)
-        np.copyto(demand_out, self._peak_flow, where=p > pc)
-        np.copyto(supply_out, self._peak_flow, where=p < pc)
+        values.clip(0.0, pc, out=branch)
+        self._flow_into(branch, demand_out, branch)
+        values.clip(pc, self.rmax, out=branch)
+        self._flow_into(branch, supply_out, branch)
 
     @functools.cached_property
     def _peak_flow(self) -> float:
@@ -341,7 +354,13 @@ class PiecewiseLinearFlux(ConcaveFlux):
         object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_ivert", int(np.argmax(hy)))
         # (px[j], slopes[j], hy[j]) of each segment as floats, for the envelopes' segment arithmetic
-        object.__setattr__(self, "_segments", tuple(zip(px[:-1].tolist(), slopes.tolist(), hy[:-1].tolist())))
+        segments = tuple(zip(px[:-1].tolist(), slopes.tolist(), hy[:-1].tolist()))
+        object.__setattr__(self, "_segments", segments)
+        # whether the last rising segment misses hy[ivert] at p_crit, and the last falling one hy[-1] at rmax
+        iv = self._ivert
+        ends = ((segments[iv - 1], px[iv], hy[iv]), (segments[-1], px[-1], hy[-1]))
+        misses = tuple((slope * (p - x) + h).tobytes() != end.tobytes() for (x, slope, h), p, end in ends)
+        object.__setattr__(self, "_misses_ends", misses)
 
     @property
     def rmax(self) -> float:  # type: ignore[override]
@@ -364,38 +383,39 @@ class PiecewiseLinearFlux(ConcaveFlux):
         return 1e-9
 
     def _flow_into(self, p: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        # H is the demand up to p_crit and the supply beyond it
-        self.envelopes(p, out, work)
-        np.copyto(out, work, where=p > self.p_crit)
+        # H is the demand up to p_crit and the supply beyond it; ``work`` may be p itself, so both buffers are new
+        supply = np.empty_like(p)
+        self.envelopes(p, out, supply, np.empty_like(p))
+        np.copyto(out, supply, where=p > self.p_crit)
         return out
 
-    def envelopes(self, p: np.ndarray, demand_out: np.ndarray, supply_out: np.ndarray) -> None:
+    def envelopes(self, values: np.ndarray, demand_out: np.ndarray, supply_out: np.ndarray, branch: np.ndarray) -> None:
         """Demand from the rising segments, supply from the falling ones, as ``np.interp`` evaluates H.
 
-        A density in [px[j], px[j+1]) takes slopes[j] * (p - px[j]) + hy[j];
-        demand holds hy[ivert] from p_crit on, supply holds it up to
-        p_crit and holds hy[-1] at rmax, and a height of -0.0 at p = 0
-        is kept, as ``np.interp`` returns a breakpoint's height as it is.
+        A density in [px[j], px[j+1]) of its branch takes
+        slopes[j] * (p - px[j]) + hy[j].  A vertex height that this misses
+        is copied in (see the module docstring), and a height of -0.0 at
+        p = 0 is kept, as ``np.interp`` returns a breakpoint's height as
+        it is.
         """
         px, hy, iv = self._px, self._hy, self._ivert
-        mask = np.empty(p.shape, dtype=bool)
+        misses_peak, misses_end = self._misses_ends
+        pc, rmax = px[iv], px[-1]
+        values.clip(0.0, pc, out=branch)
         # supply_out is free until the falling branch is written
-        self._branch_into(p, self._segments[:iv], demand_out, supply_out, mask)
+        self._branch_into(branch, self._segments[:iv], demand_out, supply_out)
         if np.signbit(hy[0]):
-            np.equal(p, px[0], out=mask)
-            np.copyto(demand_out, hy[0], where=mask)
-        np.greater_equal(p, px[iv], out=mask)
-        np.copyto(demand_out, hy[iv], where=mask)
+            np.copyto(demand_out, hy[0], where=branch == px[0])
+        if misses_peak:
+            np.copyto(demand_out, hy[iv], where=branch == pc)
+        values.clip(pc, rmax, out=branch)
         falling = self._segments[iv:]
-        work = np.empty_like(p) if len(falling) > 1 else None
-        self._branch_into(p, falling, supply_out, work, mask)
-        np.less_equal(p, px[iv], out=mask)
-        np.copyto(supply_out, hy[iv], where=mask)
-        np.equal(p, px[-1], out=mask)
-        np.copyto(supply_out, hy[-1], where=mask)
+        self._branch_into(branch, falling, supply_out, np.empty_like(branch) if len(falling) > 1 else None)
+        if misses_end:
+            np.copyto(supply_out, hy[-1], where=branch == rmax)
 
     @staticmethod
-    def _branch_into(p, segments, out: np.ndarray, work, mask: np.ndarray) -> None:
+    def _branch_into(p, segments, out: np.ndarray, work) -> None:
         """Each segment of a branch in turn, from its start density on: p in [px[j], px[j+1]) ends on segment j."""
         for k, (x, slope, h) in enumerate(segments):
             dest = out if k == 0 else work
@@ -404,8 +424,7 @@ class PiecewiseLinearFlux(ConcaveFlux):
             np.multiply(slope, dest, out=dest)
             np.add(dest, h, out=dest)
             if k:
-                np.greater_equal(p, x, out=mask)
-                np.copyto(out, work, where=mask)
+                np.copyto(out, work, where=p >= x)
 
     def derivative(self, p: ArrayLike) -> ArrayLike:
         idx = np.clip(np.searchsorted(self._px, self.clamp(p), side="right") - 1, 0, len(self._slopes) - 1)

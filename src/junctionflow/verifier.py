@@ -42,9 +42,10 @@ DESK_DOMAIN = (-2.0, 2.0)
 #: Seconds one external-solver call may take before the audit gives up on it.
 EXTERNAL_TIMEOUT_S = 600.0
 #: Most entries one internal march holds as a (states, points) array; a larger batch is
-#: marched in chunks.  On 800 cells to t = 1 (2 cores, numpy 2.4), 200 densities took
-#: 11-16% longer as one (200, 800) march than in chunks of 40 rows, and chunks of 10 rows
-#: 40% longer: the work arrays outgrow the cache, or the per-step overhead returns.
+#: marched in chunks.  On 800 cells to t = 1 (2 cores, numpy 2.4), 200 ``random_cell_field``
+#: densities took 31-58% longer as one (200, 800) march than in chunks of 40 rows, chunks of
+#: 10 rows 22-55% longer, and chunks of 20 or 80 rows 0-11% longer (medians of five, four
+#: runs): the work arrays outgrow the cache, or the per-step overhead returns.
 BATCH_ENTRIES = 32_768
 # Thread-pool sizes of the OpenMP and BLAS runtimes an external command may load (numpy's
 # OpenBLAS among them): unset, each sizes its pool for the whole machine.

@@ -1,22 +1,27 @@
 """The polygon flux's envelopes against the ``np.interp`` evaluation they replaced, byte for byte.
 
-``PiecewiseLinearFlux`` writes demand from its rising segments and
-supply from its falling ones, each segment with ``np.interp``'s own
+``PiecewiseLinearFlux`` writes demand from its rising segments on
+clip(p, 0, p_crit) and supply from its falling ones on
+clip(p, p_crit, rmax), each segment with ``np.interp``'s own
 arithmetic.  ``_InterpPolygon`` keeps the evaluation it replaced
 verbatim: ``_flow_into`` through ``np.interp`` and ``envelopes`` as one
-evaluation of H and two masked copies of its peak.  ``envelopes``,
-``eval``, ``demand`` and ``supply`` must give the same bytes, signs of
-zero included, on every breakpoint, its two float neighbours and the
-ends of the range, for 1-D arrays, for the strided right-side views of
-a ``(batch, cells)`` array that ``cl_solver.FluxKernel`` passes, and
-for floats.  A polygon given with signed-zero coordinates is the case
-where a bare segment formula parts from ``np.interp``: at p = 0 with
-first vertex (-0.0, -0.0), slope * (0.0 - -0.0) + -0.0 is +0.0, while
-``np.interp`` returns the vertex height -0.0.
+clip to [0, rmax], one evaluation of H and two masked copies of its
+peak.  ``envelopes`` (on unclipped values, round-off outside [0, rmax]
+included), ``eval``, ``demand`` and ``supply`` must give the same
+bytes, signs of zero included, on every breakpoint, its two float
+neighbours and the ends of the range, for 1-D arrays, for the strided
+right-side views of a ``(batch, cells)`` array that
+``cl_solver.FluxKernel`` passes, and for floats.  Two frozen polygons
+need the copies of a vertex height that a segment formula misses, one
+at p_crit and one at rmax; the README triangle needs neither.  A
+polygon given with signed-zero coordinates is the case where a bare
+segment formula parts from ``np.interp``: at p = 0 with first vertex
+(-0.0, -0.0), slope * (0.0 - -0.0) + -0.0 is +0.0, while ``np.interp``
+returns the vertex height -0.0.
 
 The solve outputs on the README junction are frozen by digest, with
 values taken before the change; a ``FluxKernel`` call there makes no
-``np.interp`` call and holds no float temporary of the grid's size.
+``np.interp`` call and holds no temporary of the grid's size.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import json
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -51,8 +57,9 @@ class _InterpPolygon(PiecewiseLinearFlux):
         np.copyto(out, np.interp(p, self._px, self._hy))
         return out
 
-    def envelopes(self, p: np.ndarray, demand_out: np.ndarray, supply_out: np.ndarray) -> None:
+    def envelopes(self, values: np.ndarray, demand_out: np.ndarray, supply_out: np.ndarray, branch: np.ndarray) -> None:
         pc = self.p_crit
+        p = np.clip(values, 0.0, self.rmax, out=branch)
         self._flow_into(p, demand_out, supply_out)
         np.copyto(supply_out, demand_out)
         np.copyto(demand_out, self._peak_flow, where=p > pc)
@@ -103,17 +110,17 @@ def _bits(value) -> tuple[type, bytes]:
 
 def _envelopes(flux, p: np.ndarray) -> tuple[bytes, bytes]:
     demand, supply = np.full(p.shape, np.nan), np.full(p.shape, np.nan)
-    flux.envelopes(p, demand, supply)
+    flux.envelopes(p, demand, supply, np.full(p.shape, np.nan))
     return demand.tobytes(), supply.tobytes()
 
 
 def _strided_envelopes(flux, p: np.ndarray, n_left: int = 5) -> tuple[bytes, bytes]:
     """Envelopes of the right-side views ``[..., n_left:]`` of three (3, cells) arrays, as the kernel passes them."""
     shape = (3, n_left + p.size)
-    values, demand, supply = np.zeros(shape), np.full(shape, np.nan), np.full(shape, np.nan)
+    values, demand, supply, branch = np.zeros(shape), np.full(shape, np.nan), np.full(shape, np.nan), np.empty(shape)
     values[..., n_left:] = [p, p[::-1], np.roll(p, 7)]
     side = np.s_[..., n_left:]
-    flux.envelopes(values[side], demand[side], supply[side])
+    flux.envelopes(values[side], demand[side], supply[side], branch[side])
     return demand.tobytes(), supply.tobytes()
 
 
@@ -121,7 +128,7 @@ def _strided_envelopes(flux, p: np.ndarray, n_left: int = 5) -> tuple[bytes, byt
 @settings(deadline=None)
 def test_envelopes_match_np_interp_bytes(flux, seed):
     ref = _reference(flux)
-    p = flux.clamp(_densities(flux, seed))
+    p = _densities(flux, seed)
     assert _envelopes(flux, p) == _envelopes(ref, p)
     assert _strided_envelopes(flux, p) == _strided_envelopes(ref, p)
 
@@ -146,12 +153,59 @@ def test_signed_zero_heights_are_kept():
     flux = PiecewiseLinearFlux(points=((-0.0, -0.0), (0.5, 0.25), (1.0, -0.0)))
     p = np.array([0.0, -0.0, 0.25, 0.5, 1.0])
     demand, supply = np.empty(5), np.empty(5)
-    flux.envelopes(p, demand, supply)
+    flux.envelopes(p, demand, supply, np.empty(5))
     assert demand.tobytes() == np.array([-0.0, -0.0, 0.125, 0.25, 0.25]).tobytes()
     assert supply.tobytes() == np.array([0.25, 0.25, 0.25, 0.25, -0.0]).tobytes()
     for v in (0.0, -0.0):
         assert _bits(flux.demand(v)) == _bits(flux.eval(v)) == (float, np.float64(-0.0).tobytes())
     assert _bits(flux.supply(1.0)) == _bits(flux.eval(1.0)) == (float, np.float64(-0.0).tobytes())
+    assert _envelopes(flux, p) == _envelopes(_reference(flux), p)
+
+
+# -- the copies of a vertex height that a segment formula misses ------------------------------
+
+# Found by a search over triangles with one-decimal vertices; each misses one height, bit for bit.
+PEAK_MISSED = ((0.0, 0.0), (0.3, 0.7), (1.0, 0.0))  # the rising side at p_crit: 0.7 / 0.3 * 0.3 = 0.7000000000000001
+END_MISSED = ((0.0, 0.0), (0.1, 0.5), (2.0, 0.0))  # the falling side at rmax: -0.5 / 1.9 * 1.9 + 0.5 = 5.55e-17
+
+
+def _copyto_calls(monkeypatch, flux, p: np.ndarray) -> int:
+    """The ``np.copyto`` calls of one ``envelopes`` call on ``p``."""
+    calls = []
+    copyto = np.copyto
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return copyto(*args, **kwargs)
+
+    monkeypatch.setattr(np, "copyto", counted)
+    _envelopes(flux, p)
+    monkeypatch.setattr(np, "copyto", copyto)
+    return len(calls)
+
+
+@pytest.mark.parametrize("points", [PEAK_MISSED, END_MISSED], ids=["peak", "end"])
+def test_a_missed_vertex_height_is_copied_in(monkeypatch, points):
+    flux = PiecewiseLinearFlux(points=points)
+    (x, slope, h), pc = flux._segments[0], flux.p_crit
+    end_x, end_slope, end_h = flux._segments[-1]
+    misses = {"peak": slope * (pc - x) + h != flux.capacity, "end": end_slope * (flux.rmax - end_x) + end_h != 0.0}
+    assert misses == {"peak": points is PEAK_MISSED, "end": points is END_MISSED}
+    ref = _reference(flux)
+    for seed in range(20):
+        p = _densities(flux, seed)
+        assert _envelopes(flux, p) == _envelopes(ref, p)
+        assert _strided_envelopes(flux, p) == _strided_envelopes(ref, p)
+        for method in ("eval", "demand", "supply"):
+            assert _bits(getattr(flux, method)(p)) == _bits(getattr(ref, method)(p))
+    assert _copyto_calls(monkeypatch, flux, p) == 1
+
+
+def test_the_readme_triangle_makes_no_copy(monkeypatch, readme_junction):
+    """The benchmark's polygon: both segment formulas hit their end heights, so neither copy runs."""
+    flux = readme_junction.right
+    p = _densities(flux, 0)
+    assert _copyto_calls(monkeypatch, flux, p) == 0
     assert _envelopes(flux, p) == _envelopes(_reference(flux), p)
 
 
@@ -180,8 +234,8 @@ def test_kernel_call_on_the_readme_junction_makes_no_interp_call(monkeypatch, re
     assert calls
 
 
-def test_march_steps_hold_one_mask_of_the_polygon_side(monkeypatch, readme_junction):
-    """Each step of either march holds one boolean mask of the polygon side; ``np.interp`` held a float array.
+def test_march_steps_hold_no_mask_of_the_polygon_side(monkeypatch, readme_junction):
+    """No step of either march holds a mask of the triangle side; ``np.interp`` held a float array.
 
     A step's arithmetic outside the kernel runs in place, so the kernel
     call's transient peak (tracemalloc) is the step's.
