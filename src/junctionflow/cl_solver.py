@@ -9,7 +9,8 @@ comparison-preserving, which is precisely what the verifier checks.
 
 The grid places x = 0 on a cell interface, cells are uniform with a
 shared width on both sides, and every update runs under the CFL bound
-dt <= cfl * dx / L with L = max |H'| over both fluxes.
+dt <= cfl * dx / L with L = max |H'| over both fluxes.  ``check_dx``
+and ``Grid`` own the grid rule; the CLI and the handles ask them.
 
 ``FluxKernel`` computes the interface fluxes: demand and supply once
 per cell, each flux clipping its own two branches of the values.  The
@@ -43,7 +44,7 @@ from .flux_models import CanonicalDatum, ConcaveFlux, DatumShape, canonical_eval
 from .junction import JunctionModel
 
 
-def _check_dx(dx: float) -> float:
+def check_dx(dx: float) -> float:
     """``dx`` if it is a cell width a grid can take."""
     if not (sys.float_info.min <= dx < math.inf):  # a subnormal dx does not fix the cell centers
         raise GridMismatchError(f"dx must be positive, finite and not subnormal, got {dx}")
@@ -61,7 +62,7 @@ class Grid:
     def __post_init__(self):
         if self.n_left < 1 or self.n_right < 1:
             raise GridMismatchError("need at least one cell on each side of the junction")
-        _check_dx(self.dx)
+        check_dx(self.dx)
         if self.n_cells + 1 > np.iinfo(np.intp).max // np.dtype(float).itemsize:  # numpy refuses the node array
             raise GridMismatchError("too many cells for an array of the grid's nodes to hold")
 
@@ -78,7 +79,7 @@ class Grid:
             raise GridMismatchError(f"domain [{x_min}, {x_max}] must contain 0 in its interior")
         if n_cells < 2:
             raise GridMismatchError("need at least 2 cells")
-        dx = _check_dx((x_max - x_min) / n_cells)
+        dx = check_dx((x_max - x_min) / n_cells)
         n_left = int(round(-x_min / dx))
         n_left = min(max(n_left, 1), n_cells - 1)
         return cls(n_left=n_left, n_right=n_cells - n_left, dx=dx)

@@ -23,7 +23,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cl_solver as cl
+from . import formats
 from . import hj_solver as hj
 from .errors import GridMismatchError, StepError
 from .flux_models import CanonicalDatum, DatumShape
@@ -141,7 +142,8 @@ class SemigroupHandle:
     an unusable state is a ``StepError``.
 
     The fields are the handle's parameters, and it is frozen.  A ``dx``
-    whose grid no array can hold is refused at construction.  What it
+    that gives no usable grid is refused at construction; the grid rule
+    itself is ``cl_solver.check_dx``'s and ``Grid``'s.  What it
     keeps is derived from them on first use: an external handle's
     ``_child_path`` and an ``"hj"`` handle's ``_probes``, the runs of the
     canonical wedge probes (``WEDGE_PROBES``), marched in one batch by the
@@ -160,19 +162,17 @@ class SemigroupHandle:
     def __post_init__(self):
         if self.scheme not in ("cl", "hj"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not (sys.float_info.min <= self.dx < math.inf):  # a subnormal dx does not fix the grid
-            raise ValueError(f"resolution dx must be positive, finite and not subnormal, got {self.dx}")
         if not (0.0 < self.timeout < math.inf):
             raise ValueError(f"external timeout must be positive, got {self.timeout}")
         try:
-            self.grid  # so that a grid no array can hold fails here, not at the first evolve
+            self.grid  # so that a dx no grid can take fails here, not at the first evolve
         except (GridMismatchError, OverflowError) as exc:
             raise ValueError(f"resolution dx {self.dx} gives no usable grid on {self.domain}: {exc}") from exc
 
     @property
     def grid(self) -> cl.Grid:
         x_min, x_max = self.domain
-        n_cells = max(2, int(round((x_max - x_min) / self.dx)))
+        n_cells = max(2, int(round((x_max - x_min) / cl.check_dx(self.dx))))
         return cl.Grid.from_domain(x_min, x_max, n_cells)
 
     def count_steps(self, t_grid: Sequence[float]) -> int:
@@ -181,29 +181,32 @@ class SemigroupHandle:
 
     def evolve_cl(self, states: Sequence[cl.CellField], snapshot_times: Sequence[float]) -> list[list[cl.CellField]]:
         """Evolve densities on one grid at one time; one snapshot list per state."""
-        if self.scheme != "cl":
-            raise StepError(f"{self.scheme} handle does not evolve densities")
-        return self._evolve(cl.solve_batch, states, snapshot_times)
+        return self._evolve("cl", states, snapshot_times)
 
     def evolve_hj(self, states: Sequence[hj.NodeField], snapshot_times: Sequence[float]) -> list[list[hj.NodeField]]:
         """Evolve potentials on one grid at one time; one snapshot list per state."""
-        if self.scheme != "hj":
-            raise StepError(f"{self.scheme} handle does not evolve potentials")
-        return self._evolve(hj.hj_direct_solve_batch, states, snapshot_times)
+        return self._evolve("hj", states, snapshot_times)
 
-    def _evolve(self, march_batch, states, snapshot_times):
+    def _evolve(self, scheme, states, snapshot_times):
+        # Built per call, so that a march or CSV function swapped on its module (a tracer, a double) is seen.
+        march_batch, write, read, noun = {
+            "cl": (cl.solve_batch, formats.write_cell_csv, formats.read_cell_csv, "densities"),
+            "hj": (hj.hj_direct_solve_batch, formats.write_node_csv, formats.read_node_csv, "potentials"),
+        }[scheme]
+        if self.scheme != scheme:
+            raise StepError(f"{self.scheme} handle does not evolve {noun}")
         grid, t0 = cl.batch_start(states)  # the whole request: chunks are checked one at a time
         t_end = max(snapshot_times, default=t0)
         times = cl.check_march(self.cfl, t_end, snapshot_times, t0)
         if self.command:
-            return self._evolve_external(states, grid, times)
+            return self._evolve_external(states, grid, times, write, read)
         rows = max(1, BATCH_ENTRIES // states[0].values.size)
         out = []
         for k in range(0, len(states), rows):
             out += march_batch(states[k : k + rows], self.model, t_end, cfl=self.cfl, snapshot_times=times)
         return out
 
-    def _evolve_external(self, states, grid, times):
+    def _evolve_external(self, states, grid, times, write, read):
         """Snapshots from one ``ask`` per (state, time), mapped on a pool in (state, time) order.
 
         Inputs are written first, once per state.  An ask runs the command on
@@ -215,17 +218,11 @@ class SemigroupHandle:
         entry that this process's does not to the usable CPUs over the pool's
         threads, and takes its ``PYTHONPATH`` from ``_child_path``.
         """
-        # Imported here: concurrent.futures adds about 6 ms to every command's package import.
+        # Imported here: concurrent.futures adds a few ms to every import of the verifier, and only audits use it.
         from concurrent.futures import ThreadPoolExecutor
-
-        from . import formats
 
         if not times:
             return [[] for _ in states]
-        if self.scheme == "cl":
-            write, read = formats.write_cell_csv, formats.read_cell_csv
-        else:
-            write, read = formats.write_node_csv, formats.read_node_csv
         cpus = _usable_cpus()
         workers = min(cpus, len(states) * len(times))
         env = {**dict.fromkeys(_THREAD_VARS, str(cpus // workers)), **os.environ}
@@ -556,7 +553,7 @@ def check_scale_invariance_cl(h: SemigroupHandle, eps_list: Sequence[float] = (2
     d_xi = xi[1] - xi[0]
     worst = 0.0
     for eps in eps_list:
-        fine = SemigroupHandle("cl", model=h.model, dx=h.dx / eps, domain=h.domain, cfl=h.cfl)
+        fine = replace(h, dx=h.dx / eps, command=())
         scaled = fine.evolve_cl([cl.riemann_field(fine.grid, *riemann)], [t_base / eps])[0][-1]
         gap = np.abs(_sample_profile(base, xi * t_base) - _sample_profile(scaled, xi * (t_base / eps)))
         worst = max(worst, float(np.sum(gap) * d_xi))
@@ -916,10 +913,10 @@ def run_battery(
     a_cl, wall_cl = timed(identify_limiter_cl, h_cl)
     a_hj, wall_hj = timed(identify_limiter_hj, h_hj)
     a_true = model.limiter
-    vs_true = f"vs configured {a_true:.6g}, dx={dx:g}"
+    vs_true = f"vs configured {a_true:.6g}"
     for name, gap, scenario, wall_s in (
-        ("limiter_id_cl", a_cl - a_true, f"step datum estimate {a_cl:.6g} {vs_true}", wall_cl),
-        ("limiter_id_hj", a_hj - a_true, f"roof datum estimate {a_hj:.6g} {vs_true}", wall_hj),
+        ("limiter_id_cl", a_cl - a_true, f"step datum estimate {a_cl:.6g} {vs_true}, dx={h_cl.grid.dx:g}", wall_cl),
+        ("limiter_id_hj", a_hj - a_true, f"roof datum estimate {a_hj:.6g} {vs_true}, dx={h_hj.grid.dx:g}", wall_hj),
         ("limiter_id_agreement", a_cl - a_hj, "density-trace estimate vs potential-drain estimate", 0.0),
     ):
         report.add(CheckRecord(name, abs(gap), 0.01, scenario, wall_s))

@@ -63,6 +63,20 @@ def test_parse_config_amax_keyword():
     assert cfg.limiter == 0.25
 
 
+def test_datum_level_amax_is_the_joint_capacity(tmp_path):
+    """A canonical datum at level "amax" parses, and solves byte for byte, as one at the numeric a_max."""
+    keyword, numeric = ({**BASE_CONFIG, "datum": {"name": "psi_hat", "level": level}} for level in ("amax", 0.25))
+    assert parse_config_dict(numeric).model.a_max == 0.25
+    assert parse_config_dict(keyword).datum == parse_config_dict(numeric).datum
+    snapshots = []
+    for name, cfg in (("keyword", keyword), ("numeric", numeric)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve-cl", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        snapshots.append((tmp_path / name / "cl_snapshot_000.csv").read_bytes())
+    assert snapshots[0] == snapshots[1]
+
+
 @pytest.mark.parametrize(
     "patch, fragment",
     [
@@ -283,9 +297,18 @@ def test_solve_rejects_bad_datum_or_times(tmp_path, capsys, subcommand, patch):
             {"datum": {"piecewise_constant": {"breaks": None, "values": [0.1]}}},
             "datum.piecewise_constant.breaks: expected a list of numbers, got None",
         ),
-        ({"domain": [-1e308, 1e308]}, "domain: [-1e+308, 1e+308] over 80 cells gives cell width inf"),
-        ({"domain": [-5e-324, 5e-324]}, "domain: [-5e-324, 5e-324] over 80 cells gives cell width 0.0"),
-        ({"domain": [-1e-320, 1e-320], "cells": 8}, "domain: [-1e-320, 1e-320] over 8 cells gives cell width 2.5e-321"),
+        (
+            {"domain": [-1e308, 1e308]},
+            "domain: [-1e+308, 1e+308] over 80 cells: dx must be positive, finite and not subnormal, got inf",
+        ),
+        (
+            {"domain": [-5e-324, 5e-324]},
+            "domain: [-5e-324, 5e-324] over 80 cells: dx must be positive, finite and not subnormal, got 0.0",
+        ),
+        (
+            {"domain": [-1e-320, 1e-320], "cells": 8},
+            "domain: [-1e-320, 1e-320] over 8 cells: dx must be positive, finite and not subnormal, got 2.5e-321",
+        ),
     ],
     ids=["breaks-number", "values-number", "breaks-null", "width-overflows", "width-underflows", "width-subnormal"],
 )
@@ -300,10 +323,11 @@ def test_unusable_datum_table_or_domain_is_a_config_error(tmp_path, capsys, patc
 @pytest.mark.parametrize("cells", [10**30, 2**62], ids=["1e30", "2**62"])
 @pytest.mark.parametrize("subcommand", ["solve-cl", "verify"])
 def test_cells_too_many_for_a_node_array_is_a_config_error(tmp_path, capsys, subcommand, cells):
-    """Exit 2 with ``cells`` named, not numpy's size error as a traceback (exit 1)."""
+    """Exit 2 with the domain and ``cells`` named, not numpy's size error as a traceback (exit 1)."""
     path = write_config(tmp_path, cells=cells)
     assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"error: cells: {cells} is more than an array of the grid's nodes can hold\n" in capsys.readouterr().err
+    message = f"domain: [-2.0, 2.0] over {cells} cells: too many cells for an array of the grid's nodes to hold"
+    assert f"error: {message}\n" in capsys.readouterr().err
 
 
 def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -453,7 +477,7 @@ def test_exact_hj_rejects_nonfinite_time(tmp_path, capsys, datum, value):
     out = tmp_path / "out"
     rc = main(["exact-hj", "--config", str(cfg), "--datum", datum, f"--time={value}", "--out", str(out)])
     assert rc == 2
-    assert "time: must be positive" in capsys.readouterr().err
+    assert f"error: time must be positive, got {value}\n" in capsys.readouterr().err
     assert not (out / "exact_hj.csv").exists()
 
 

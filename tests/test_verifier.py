@@ -197,6 +197,18 @@ def test_battery_records_are_frozen(request, junction):
     assert got == [(name, repr(m), repr(tol), scenario) for name, m, tol, scenario in FROZEN_RECORDS[junction]]
 
 
+def test_limiter_records_name_their_handles_dx(sym_junction):
+    """Handles on another grid than run_battery's dx: every record, the cap probes' too, names the handles' dx."""
+    cl_handle, hj_handle = (SemigroupHandle(scheme, sym_junction, dx=1 / 25) for scheme in ("cl", "hj"))
+    report = run_battery(
+        sym_junction, dx=1 / 50, l1_trials=1, linf_trials=1, scan_grid_n=2, cl_handle=cl_handle, hj_handle=hj_handle
+    )
+    scenarios = {r.name: r.scenario for r in report.records}
+    assert scenarios["limiter_id_cl"].endswith(", dx=0.04")
+    assert scenarios["limiter_id_hj"].endswith(", dx=0.04")
+    assert not [scenario for scenario in scenarios.values() if "dx=0.02" in scenario]
+
+
 def test_battery_records_carry_wall_time(battery_report):
     for rec in battery_report.records:
         assert math.isfinite(rec.wall_s) and rec.wall_s >= 0.0, rec.name
@@ -824,6 +836,27 @@ def test_external_handle_surfaces_failures(tmp_path, sym_junction):
     state = riemann_field(grid, 0.5, 0.5)
     with pytest.raises(StepError, match="no such scheme"):
         external.evolve_cl([state], [0.1])
+
+
+SPLIT_EXTERNAL = textwrap.dedent(
+    """
+    import sys
+    from junctionflow.formats import read_cell_csv, write_cell_csv
+
+    state = read_cell_csv(sys.argv[1])
+    state.values[: state.grid.n_left], state.values[state.grid.n_left :] = 0.0, 0.5
+    write_cell_csv(sys.argv[3], state)
+    """
+)
+
+
+def test_identify_limiter_cl_refuses_traces_that_break_flux_continuity(tmp_path, sym_junction):
+    """Empty cells left of the junction and half-full ones right of it: trace fluxes 0 and 1/4 (Rankine-Hugoniot)."""
+    script = tmp_path / "split.py"
+    script.write_text(SPLIT_EXTERNAL)
+    external = SemigroupHandle("cl", sym_junction, dx=1 / 25, command=(sys.executable, str(script)))
+    with pytest.raises(StepError, match=r"^trace fluxes 0\.0 / 0\.25 violate flux continuity beyond 0\.05$"):
+        identify_limiter_cl(external)
 
 
 def test_unfaithful_external_fails_checks(tmp_path, sym_junction):
