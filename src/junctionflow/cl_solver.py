@@ -76,7 +76,7 @@ class Grid:
         report the adjustment.
         """
         if not x_min < 0.0 < x_max:
-            raise GridMismatchError(f"domain [{x_min}, {x_max}] must contain 0 in its interior")
+            raise GridMismatchError("the domain must contain 0 in its interior")
         if n_cells < 2:
             raise GridMismatchError("need at least 2 cells")
         dx = check_dx((x_max - x_min) / n_cells)

@@ -444,7 +444,7 @@ def _cmd_verify(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
         )
     except ValueError as exc:  # the grid parsed already: the handle refused the timeout
         raise ConfigError(f"--external-timeout: {exc}") from exc
-    report = verifier.run_battery(cfg.model, seed=cfg.seed, cl_handle=cl_handle, hj_handle=hj_handle, **counts)
+    report = verifier.run_battery(cl_handle, hj_handle, seed=cfg.seed, **counts)
     formats.write_manifest(out_dir / "verify_report.json", report.to_dict())
     _write_manifest(out_dir, cfg, "verify", files={"report": "verify_report.json"}, all_passed=report.all_passed)
     for line in report.summary_lines():

@@ -94,10 +94,6 @@ class VerificationReport:
     seed: int = 0
     identified_limiter: float | None = None
 
-    def add(self, record: CheckRecord) -> CheckRecord:
-        self.records.append(record)
-        return record
-
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.records)
@@ -547,13 +543,13 @@ def check_scale_invariance_cl(h: SemigroupHandle, eps_list: Sequence[float] = (2
     riemann = (0.5 * h.model.left.rmax, 0.5 * h.model.right.rmax)
     t_base = 0.5
     grid = h.grid
-    tol = 2.0 * 0.01 * (h.dx / (1.0 / 200.0))
+    tol = 2.0 * 0.01 * (grid.dx / (1.0 / 200.0))
     base = h.evolve_cl([cl.riemann_field(grid, *riemann)], [t_base])[0][-1]
     xi = np.linspace(-2.0, 2.0, 1601)
     d_xi = xi[1] - xi[0]
     worst = 0.0
     for eps in eps_list:
-        fine = replace(h, dx=h.dx / eps, command=())
+        fine = replace(h, dx=grid.dx / eps, command=())
         scaled = fine.evolve_cl([cl.riemann_field(fine.grid, *riemann)], [t_base / eps])[0][-1]
         gap = np.abs(_sample_profile(base, xi * t_base) - _sample_profile(scaled, xi * (t_base / eps)))
         worst = max(worst, float(np.sum(gap) * d_xi))
@@ -561,7 +557,7 @@ def check_scale_invariance_cl(h: SemigroupHandle, eps_list: Sequence[float] = (2
         name="scale_invariance_cl",
         measured=worst,
         tolerance=tol,
-        scenario=f"riemann {riemann}, eps in {tuple(eps_list)}, t={t_base:g}, dx={h.dx:g}",
+        scenario=f"riemann {riemann}, eps in {tuple(eps_list)}, t={t_base:g}, dx={grid.dx:g}",
     )
 
 
@@ -859,70 +855,64 @@ def empirical_germ_scan(
 
 
 def run_battery(
-    model: JunctionModel,
-    dx: float = DESK_DX,
-    domain: tuple[float, float] = DESK_DOMAIN,
-    cfl: float = 0.8,
+    cl_handle: SemigroupHandle,
+    hj_handle: SemigroupHandle,
     seed: int = 0,
     l1_trials: int = 100,
     linf_trials: int = 20,
     scan_grid_n: int = 21,
-    cl_handle: SemigroupHandle | None = None,
-    hj_handle: SemigroupHandle | None = None,
 ) -> VerificationReport:
-    """Run every check and collect a report.
+    """Run every check on a density and a potential handle of one junction and collect a report.
 
-    By default the internal solvers are verified; pass external-process
-    handles to subject a third-party semi-group to the same battery
-    (the bitwise locality check then compares it against internal
-    whole-line runs, which an independent implementation will fail
-    unless it reproduces the reference scheme exactly).  Each record carries the wall time
-    of its check; the two cap probes are timed in ``limiter_id_cl`` and
-    ``limiter_id_hj``, so ``limiter_id_agreement`` reads 0.
+    The handles carry the junction (``cl_handle.model``, which ``hj_handle``
+    must share), the grid and the CFL number.  Pass external-process handles
+    to subject a third-party semi-group to the same battery (the bitwise
+    locality check then compares it against internal whole-line runs, which
+    an independent implementation will fail unless it reproduces the
+    reference scheme exactly).  Each record carries the wall time of its own
+    check; ``limiter_id_agreement`` and the germ scan read the cap estimates
+    that ``limiter_id_cl`` and ``limiter_id_hj`` stored.
     """
-    h_cl = cl_handle or SemigroupHandle("cl", model=model, dx=dx, domain=domain, cfl=cfl)
-    h_hj = hj_handle or SemigroupHandle("hj", model=model, dx=dx, domain=domain, cfl=cfl)
-    report = VerificationReport(seed=seed)
+    model = cl_handle.model
+    if hj_handle.model != model:
+        raise ValueError(f"the handles evolve different junctions: {model} and {hj_handle.model}")
+    estimates = {}
 
-    def timed(fn, *args, **kwargs):
+    def cap_record(name, identify, h, datum) -> CheckRecord:
+        estimates[name] = a = identify(h)
+        scenario = f"{datum} datum estimate {a:.6g} vs configured {model.limiter:.6g}, dx={h.grid.dx:g}"
+        return CheckRecord(name, abs(a - model.limiter), 0.01, scenario)
+
+    # Built per call: each entry looks its check up on the module as it runs, so a patched one (a tracer) is timed.
+    table = (
+        lambda: check_riemann_admissibility(model),
+        lambda: check_germ_dissipativity(model),
+        lambda: check_l1_contraction(cl_handle, n_trials=l1_trials, seed=seed),
+        lambda: check_comparison(cl_handle, seed=seed + 1),
+        lambda: check_mass(cl_handle, seed=seed + 2),
+        lambda: check_finite_speed(cl_handle, seed=seed + 3),
+        lambda: check_locality(cl_handle, seed=seed + 4),
+        lambda: check_scale_invariance_cl(cl_handle),
+        lambda: check_linf_contraction(hj_handle, n_trials=linf_trials, seed=seed + 5),
+        lambda: check_constants(hj_handle, seed=seed + 6),
+        lambda: check_duality(hj_handle),
+        lambda: check_supersolution_floor(hj_handle),
+        lambda: check_oracle_scale_invariance(model, seed=seed + 7),
+        lambda: check_hj_exact_agreement(hj_handle),
+        lambda: cap_record("limiter_id_cl", identify_limiter_cl, cl_handle, "step"),
+        lambda: cap_record("limiter_id_hj", identify_limiter_hj, hj_handle, "roof"),
+        lambda: CheckRecord(
+            "limiter_id_agreement",
+            abs(estimates["limiter_id_cl"] - estimates["limiter_id_hj"]),
+            0.01,
+            "density-trace estimate vs potential-drain estimate",
+        ),
+        lambda: empirical_germ_scan(cl_handle, grid_n=scan_grid_n, limiter_estimate=estimates["limiter_id_cl"]).record,
+    )
+    records = []
+    for entry in table:
         t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
-        return out, time.perf_counter() - t0
-
-    def add(check, *args, **kwargs) -> None:
-        record, wall_s = timed(check, *args, **kwargs)
-        record.wall_s = wall_s
-        report.add(record)
-
-    add(check_riemann_admissibility, model)
-    add(check_germ_dissipativity, model)
-    add(check_l1_contraction, h_cl, n_trials=l1_trials, seed=seed)
-    add(check_comparison, h_cl, seed=seed + 1)
-    add(check_mass, h_cl, seed=seed + 2)
-    add(check_finite_speed, h_cl, seed=seed + 3)
-    add(check_locality, h_cl, seed=seed + 4)
-    add(check_scale_invariance_cl, h_cl)
-
-    add(check_linf_contraction, h_hj, n_trials=linf_trials, seed=seed + 5)
-    add(check_constants, h_hj, seed=seed + 6)
-    add(check_duality, h_hj)
-    add(check_supersolution_floor, h_hj)
-    add(check_oracle_scale_invariance, model, seed=seed + 7)
-    add(check_hj_exact_agreement, h_hj)
-
-    a_cl, wall_cl = timed(identify_limiter_cl, h_cl)
-    a_hj, wall_hj = timed(identify_limiter_hj, h_hj)
-    a_true = model.limiter
-    vs_true = f"vs configured {a_true:.6g}"
-    for name, gap, scenario, wall_s in (
-        ("limiter_id_cl", a_cl - a_true, f"step datum estimate {a_cl:.6g} {vs_true}, dx={h_cl.grid.dx:g}", wall_cl),
-        ("limiter_id_hj", a_hj - a_true, f"roof datum estimate {a_hj:.6g} {vs_true}, dx={h_hj.grid.dx:g}", wall_hj),
-        ("limiter_id_agreement", a_cl - a_hj, "density-trace estimate vs potential-drain estimate", 0.0),
-    ):
-        report.add(CheckRecord(name, abs(gap), 0.01, scenario, wall_s))
-    report.identified_limiter = a_hj
-
-    scan, wall_scan = timed(empirical_germ_scan, h_cl, grid_n=scan_grid_n, limiter_estimate=a_cl)
-    scan.record.wall_s = wall_scan
-    report.add(scan.record)
-    return report
+        record = entry()
+        record.wall_s = time.perf_counter() - t0
+        records.append(record)
+    return VerificationReport(records, seed=seed, identified_limiter=estimates["limiter_id_hj"])

@@ -309,8 +309,15 @@ def test_solve_rejects_bad_datum_or_times(tmp_path, capsys, subcommand, patch):
             {"domain": [-1e-320, 1e-320], "cells": 8},
             "domain: [-1e-320, 1e-320] over 8 cells: dx must be positive, finite and not subnormal, got 2.5e-321",
         ),
+        (  # the config's prefix names the domain, the grid's reason does not repeat it
+            {"domain": [0.5, 2.0], "cells": 800},
+            "domain: [0.5, 2.0] over 800 cells: the domain must contain 0 in its interior",
+        ),
     ],
-    ids=["breaks-number", "values-number", "breaks-null", "width-overflows", "width-underflows", "width-subnormal"],
+    ids=[
+        "breaks-number", "values-number", "breaks-null", "width-overflows", "width-underflows", "width-subnormal",
+        "zero-outside",
+    ],
 )
 def test_unusable_datum_table_or_domain_is_a_config_error(tmp_path, capsys, patch, message):
     """Exit 2 with the field named, not a traceback (exit 1) or a numerical failure (exit 3)."""

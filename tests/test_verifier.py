@@ -51,6 +51,7 @@ from junctionflow.verifier import (
     check_supersolution_floor,
     _usable_cpus,
 )
+from conftest import handles
 
 COARSE_DX = 1.0 / 64.0
 
@@ -132,7 +133,8 @@ def test_mass_balance_counts_the_outer_edge_flows():
 
 @pytest.mark.parametrize("junction", ["asym_junction", "readme_junction"])
 def test_battery_passes_on_asymmetric_junctions(request, junction):
-    report = run_battery(request.getfixturevalue(junction), dx=1.0 / 100.0, l1_trials=10, linf_trials=4, scan_grid_n=5)
+    model = request.getfixturevalue(junction)
+    report = run_battery(*handles(model, 1 / 100), l1_trials=10, linf_trials=4, scan_grid_n=5)
     assert len(report.records) == 18
     assert report.all_passed, "\n".join(report.summary_lines())
 
@@ -192,21 +194,39 @@ FROZEN_RECORDS = {
 @pytest.mark.parametrize("junction", sorted(FROZEN_RECORDS))
 def test_battery_records_are_frozen(request, junction):
     """Each record equals the frozen one; floats compare by repr, so one ulp, or -0.0 for 0.0, fails."""
-    report = run_battery(request.getfixturevalue(junction), dx=1 / 50, l1_trials=3, linf_trials=2, scan_grid_n=5)
+    report = run_battery(*handles(request.getfixturevalue(junction), 1 / 50), l1_trials=3, linf_trials=2, scan_grid_n=5)
     got = [(r.name, repr(r.measured), repr(r.tolerance), r.scenario) for r in report.records]
     assert got == [(name, repr(m), repr(tol), scenario) for name, m, tol, scenario in FROZEN_RECORDS[junction]]
 
 
 def test_limiter_records_name_their_handles_dx(sym_junction):
-    """Handles on another grid than run_battery's dx: every record, the cap probes' too, names the handles' dx."""
-    cl_handle, hj_handle = (SemigroupHandle(scheme, sym_junction, dx=1 / 25) for scheme in ("cl", "hj"))
-    report = run_battery(
-        sym_junction, dx=1 / 50, l1_trials=1, linf_trials=1, scan_grid_n=2, cl_handle=cl_handle, hj_handle=hj_handle
-    )
+    """Handles off the desk grid: every record, the cap probes' too, names the handles' dx."""
+    report = run_battery(*handles(sym_junction, 1 / 25), l1_trials=1, linf_trials=1, scan_grid_n=2)
     scenarios = {r.name: r.scenario for r in report.records}
     assert scenarios["limiter_id_cl"].endswith(", dx=0.04")
     assert scenarios["limiter_id_hj"].endswith(", dx=0.04")
     assert not [scenario for scenario in scenarios.values() if "dx=0.02" in scenario]
+
+
+def test_battery_refuses_handles_on_different_junctions(sym_junction, asym_junction):
+    with pytest.raises(ValueError, match="the handles evolve different junctions"):
+        run_battery(SemigroupHandle("cl", sym_junction, COARSE_DX), SemigroupHandle("hj", asym_junction, COARSE_DX))
+
+
+def test_scale_invariance_refines_the_grids_width(sym_junction, monkeypatch):
+    """dx = 0.3 makes 13 cells of 4/13 on [-2, 2]: the fine grids hold 26 and 52, as at dx = 4/13 itself."""
+    cells = []
+    evolve_cl = SemigroupHandle.evolve_cl
+
+    def logged(self, states, snapshot_times):
+        cells.append(states[0].grid.n_cells)
+        return evolve_cl(self, states, snapshot_times)
+
+    monkeypatch.setattr(SemigroupHandle, "evolve_cl", logged)
+    rounded = check_scale_invariance_cl(SemigroupHandle("cl", sym_junction, dx=0.3))
+    assert cells == [13, 26, 52]
+    exact = check_scale_invariance_cl(SemigroupHandle("cl", sym_junction, dx=4 / 13))
+    assert (rounded.measured, rounded.tolerance, rounded.scenario) == (exact.measured, exact.tolerance, exact.scenario)
 
 
 def test_battery_records_carry_wall_time(battery_report):
@@ -765,9 +785,8 @@ def test_battery_asks_external_hj_each_state_and_time_once(tmp_path, sym_junctio
     log = tmp_path / "calls.log"
     log.touch()
     external = SemigroupHandle("hj", sym_junction, COARSE_DX, command=(sys.executable, str(script), str(log)))
-    report = run_battery(
-        sym_junction, dx=COARSE_DX, l1_trials=1, linf_trials=1, scan_grid_n=2, hj_handle=external
-    )
+    cl_handle = SemigroupHandle("cl", sym_junction, COARSE_DX)
+    report = run_battery(cl_handle, external, l1_trials=1, linf_trials=1, scan_grid_n=2)
     assert report.all_passed, report.summary_lines()
     calls = _calls(log)
     assert len(set(calls)) == len(calls) == 28
@@ -783,7 +802,7 @@ def test_battery_asks_external_cl_each_state_and_time_once(tmp_path, sym_junctio
     log.touch()
     command = ("sh", "-c", SH_LOGGING_EXTERNAL, "sh", str(log))
     external = SemigroupHandle("cl", sym_junction, COARSE_DX, command=command)
-    run_battery(sym_junction, dx=COARSE_DX, l1_trials=1, linf_trials=1, scan_grid_n=2, cl_handle=external)
+    run_battery(external, SemigroupHandle("hj", sym_junction, COARSE_DX), l1_trials=1, linf_trials=1, scan_grid_n=2)
     calls = _calls(log)
     assert len(set(calls)) == len(calls) == 100
 
@@ -815,7 +834,8 @@ def test_handle_whose_grid_no_array_can_hold_fails_at_construction(sym_junction)
         message = f"resolution dx {dx} gives no usable grid on \\(-2.0, 2.0\\): too many cells"
         with pytest.raises(ValueError, match=message):
             SemigroupHandle("cl", sym_junction, dx=dx)
-    with pytest.raises(ValueError, match="must contain 0 in its interior"):
+    message = r"^resolution dx 0.005 gives no usable grid on \(1.0, 2.0\): the domain must contain 0 in its interior$"
+    with pytest.raises(ValueError, match=message):
         SemigroupHandle("hj", sym_junction, domain=(1.0, 2.0))
     for n_left in (2**61, 2**62):
         with pytest.raises(ValueError, match="too many cells for an array of the grid's nodes to hold"):

@@ -24,6 +24,7 @@ from junctionflow.verifier import (
     check_locality,
     check_supersolution_floor,
 )
+from conftest import handles
 from test_verifier import _calls, _kept, _logging_handle
 
 DX = 1.0 / 50.0
@@ -49,7 +50,7 @@ def _fields(record) -> tuple:
 
 
 def test_battery_marches_the_wedge_probes_in_one_call(sym_junction, evolve_hj_calls):
-    run_battery(sym_junction, dx=DX, l1_trials=1, linf_trials=2, scan_grid_n=2)
+    run_battery(*handles(sym_junction, DX), l1_trials=1, linf_trials=2, scan_grid_n=2)
     assert evolve_hj_calls == [
         (2 * 2, (0.5, 1.0)),  # linf_contraction: 2 pairs
         (5 * 4, (1.0,)),  # constants_commute: 5 data, each with 3 shifts
@@ -58,7 +59,7 @@ def test_battery_marches_the_wedge_probes_in_one_call(sym_junction, evolve_hj_ca
 
 
 def test_lone_wedge_checks_match_the_battery(readme_junction, evolve_hj_calls):
-    report = run_battery(readme_junction, dx=DX, l1_trials=1, linf_trials=1, scan_grid_n=2)
+    report = run_battery(*handles(readme_junction, DX), l1_trials=1, linf_trials=1, scan_grid_n=2)
     by_name = {rec.name: rec for rec in report.records}
     for check in WEDGE_CHECKS:
         del evolve_hj_calls[:]
