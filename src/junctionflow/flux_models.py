@@ -38,37 +38,44 @@ hands its values, inside [0, rmax] up to round-off, to ``envelopes``
 unclipped, once per distinct flux in ``cl_solver.FluxKernel``'s loop
 over the sides, and needs demand and supply of the same cells, bit for
 bit as ``demand``/``supply`` give them.  So each envelope is H of its
-own branch, clip(p, 0, p_crit) or clip(p, p_crit, rmax), clipped with
-``ndarray.clip`` (``np.clip``'s ufunc at half its per-call cost on
-small arrays): a clip to [0, rmax] and then min or max with p_crit is
-that clip, signed zeros included, and H(p_crit) is ``_peak_flow``.
+own branch, clip(p, 0, p_crit) or clip(p, p_crit, rmax): the two are
+clipped into the rows of one ``(2, ...)`` buffer with ``ndarray.clip``
+(``np.clip``'s ufunc at half its per-call cost on small arrays), and H
+runs once over both rows.  A clip to [0, rmax] and then min or max with
+p_crit is that clip, signed zeros included, and H(p_crit) is
+``_peak_flow``.  Each clip takes scalar bounds: numpy may clip -0.0 to
++0.0 where its bounds vary along the inner loop, as one call with a
+bound per row does on a side view of a batch.
 The kernel's junction and edge minima, ``junction`` and the closed
 forms break ties with ``first_min``/``first_max``: the first of equals,
 as Python's ``min``/``max``.
 
-The polygon evaluates its envelopes branch by branch: demand from the
-rising segments only, supply from the falling ones only, segment j as
-slopes[j] * (p - px[j]) + hy[j] on px[j] <= p < px[j+1], which is
-``np.interp``'s own arithmetic.  The first falling segment gives
-hy[ivert] at p_crit exactly.  A vertex height is copied in under a mask
-only where a formula misses it bit for bit, as ``__post_init__`` finds:
+The polygon evaluates its two branches together, segment k of each in
+one set of calls: demand from the rising segments only, supply from the
+falling ones only, segment j as slopes[j] * (p - px[j]) + hy[j] on
+px[j] <= p < px[j+1], which is ``np.interp``'s own arithmetic.  The
+shorter branch is padded with segments that start at +inf, which no
+density reaches.  The first falling segment gives hy[ivert] at p_crit
+exactly.  A vertex height is copied into its row under a mask only
+where a formula misses it bit for bit, as ``__post_init__`` finds:
 hy[ivert] at p_crit on the last rising segment, hy[-1] at rmax on the
 last falling one, and a height of -0.0 at p = 0.  The README's triangle
-needs no copy; its envelopes then take eight array passes and no mask.
-A branch of several segments copies each segment after the first in
-under its own mask.  Its H is demand up to p_crit and supply beyond, so
-the kernel and the pointwise methods agree by construction, and every
-value is bit for bit what ``np.interp`` gives.  Each segment costs one
-affine pass over the array: with 2 segments (the README's triangle)
-this takes about half the time of ``np.interp``'s per-element search,
-at 4-5 segments about as long, beyond that longer (ROADMAP records the
-crossover).  ``np.interp`` remains in ``roots``.
+needs no copy; its envelopes then take five array passes and no mask.
+Each segment after a branch's first is written under a mask of the
+densities that reach it.  Its H is demand up to p_crit and supply
+beyond, so the kernel and the pointwise methods agree by construction,
+and every value is bit for bit what ``np.interp`` gives.  Each segment
+costs one affine pass over the array: with 2 segments (the README's
+triangle) this takes about half the time of ``np.interp``'s per-element
+search, at 4-5 segments about as long, beyond that longer (ROADMAP
+records the crossover).  ``np.interp`` remains in ``roots``.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -214,22 +221,25 @@ class ConcaveFlux:
         """Nonincreasing envelope of H: capacity up to p_crit, H(p) beyond."""
         return float_or_array(self._flow(np.maximum(self.clamp(p), self.p_crit)))
 
-    def envelopes(self, values: np.ndarray, demand_out: np.ndarray, supply_out: np.ndarray, branch: np.ndarray) -> None:
-        """Write demand and supply of ``values``, densities inside [0, rmax] up to round-off; unvalidated.
+    def envelopes(self, values: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+        """Write demand and supply of ``values`` into ``out[0]`` and ``out[1]``; unvalidated.
 
-        Bit for bit what ``demand``/``supply`` give for the clamped values,
-        but without validation: the inner loop of the schemes.  Each
-        envelope is H of its branch, clip(values, 0, p_crit) or
-        clip(values, p_crit, rmax), clipped into ``branch`` (same shape,
-        overwritten) and evaluated there in place.  Neither allocates a
-        float array of the values' size, except a polygon with more than
-        one falling segment, which takes one.
+        ``values`` are densities inside [0, rmax] up to round-off; ``out``
+        and ``work`` are shaped ``(2, *values.shape)``, ``work`` is
+        overwritten, and ``values`` may be a row of ``out``.  Bit for bit
+        what ``demand``/``supply`` give for the clamped values, but without
+        validation: the inner loop of the schemes.  The demand branch
+        clip(values, 0, p_crit) and the supply branch
+        clip(values, p_crit, rmax) are clipped into the rows of ``work``,
+        and H is evaluated once over both, into ``out``.  Allocates no
+        float array; a polygon takes a boolean mask of both rows for each
+        segment after a branch's first, and one of a row for each vertex
+        height it copies in.
         """
         pc = self.p_crit
-        values.clip(0.0, pc, out=branch)
-        self._flow_into(branch, demand_out, branch)
-        values.clip(pc, self.rmax, out=branch)
-        self._flow_into(branch, supply_out, branch)
+        values.clip(0.0, pc, out=work[0])
+        values.clip(pc, self.rmax, out=work[1])
+        self._flow_into(work, out, work)
 
     @functools.cached_property
     def _peak_flow(self) -> float:
@@ -356,11 +366,18 @@ class PiecewiseLinearFlux(ConcaveFlux):
         # (px[j], slopes[j], hy[j]) of each segment as floats, for the envelopes' segment arithmetic
         segments = tuple(zip(px[:-1].tolist(), slopes.tolist(), hy[:-1].tolist()))
         object.__setattr__(self, "_segments", segments)
-        # whether the last rising segment misses hy[ivert] at p_crit, and the last falling one hy[-1] at rmax
+        # segment k of the rising and of the falling branch as (x, slope, h) columns of shape (2,),
+        # the shorter branch padded with segments from +inf on
         iv = self._ivert
-        ends = ((segments[iv - 1], px[iv], hy[iv]), (segments[-1], px[-1], hy[-1]))
-        misses = tuple((slope * (p - x) + h).tobytes() != end.tobytes() for (x, slope, h), p, end in ends)
-        object.__setattr__(self, "_misses_ends", misses)
+        pairs = itertools.zip_longest(segments[:iv], segments[iv:], fillvalue=(math.inf, 0.0, 0.0))
+        object.__setattr__(self, "_stacked_segments", tuple(tuple(np.array(pair).T) for pair in pairs))
+        # the vertex heights the envelopes copy in, as (row, height, density): a height of -0.0 at p = 0,
+        # hy[ivert] at p_crit if the last rising segment misses it, hy[-1] at rmax if the last falling one does
+        copies = [(0, hy[0], px[0])] if np.signbit(hy[0]) else []
+        for row, (x, slope, h), p, end in ((0, segments[iv - 1], px[iv], hy[iv]), (1, segments[-1], px[-1], hy[-1])):
+            if (slope * (p - x) + h).tobytes() != end.tobytes():
+                copies.append((row, end, p))
+        object.__setattr__(self, "_copies", tuple(copies))
 
     @property
     def rmax(self) -> float:  # type: ignore[override]
@@ -383,48 +400,37 @@ class PiecewiseLinearFlux(ConcaveFlux):
         return 1e-9
 
     def _flow_into(self, p: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        # H is the demand up to p_crit and the supply beyond it; ``work`` may be p itself, so both buffers are new
-        supply = np.empty_like(p)
-        self.envelopes(p, out, supply, np.empty_like(p))
-        np.copyto(out, supply, where=p > self.p_crit)
+        # H is the demand up to p_crit and the supply beyond it; ``work`` may be p itself, so the buffers are new
+        flat = np.atleast_1d(p)  # the rows of a 0-d buffer would be scalars
+        env, branches = np.empty((2, 2, *flat.shape))
+        self.envelopes(flat, env, branches)
+        demand, supply = env.reshape(2, *p.shape)
+        out[...] = np.where(p > self.p_crit, supply, demand)
         return out
 
-    def envelopes(self, values: np.ndarray, demand_out: np.ndarray, supply_out: np.ndarray, branch: np.ndarray) -> None:
+    def envelopes(self, values: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
         """Demand from the rising segments, supply from the falling ones, as ``np.interp`` evaluates H.
 
         A density in [px[j], px[j+1]) of its branch takes
-        slopes[j] * (p - px[j]) + hy[j].  A vertex height that this misses
-        is copied in (see the module docstring), and a height of -0.0 at
-        p = 0 is kept, as ``np.interp`` returns a breakpoint's height as
-        it is.
+        slopes[j] * (p - px[j]) + hy[j], segment k of both branches in one
+        set of calls.  A vertex height that this misses is copied in (see
+        the module docstring), and a height of -0.0 at p = 0 is kept, as
+        ``np.interp`` returns a breakpoint's height as it is.
         """
-        px, hy, iv = self._px, self._hy, self._ivert
-        misses_peak, misses_end = self._misses_ends
-        pc, rmax = px[iv], px[-1]
-        values.clip(0.0, pc, out=branch)
-        # supply_out is free until the falling branch is written
-        self._branch_into(branch, self._segments[:iv], demand_out, supply_out)
-        if np.signbit(hy[0]):
-            np.copyto(demand_out, hy[0], where=branch == px[0])
-        if misses_peak:
-            np.copyto(demand_out, hy[iv], where=branch == pc)
-        values.clip(pc, rmax, out=branch)
-        falling = self._segments[iv:]
-        self._branch_into(branch, falling, supply_out, np.empty_like(branch) if len(falling) > 1 else None)
-        if misses_end:
-            np.copyto(supply_out, hy[-1], where=branch == rmax)
-
-    @staticmethod
-    def _branch_into(p, segments, out: np.ndarray, work) -> None:
-        """Each segment of a branch in turn, from its start density on: p in [px[j], px[j+1]) ends on segment j."""
-        for k, (x, slope, h) in enumerate(segments):
-            dest = out if k == 0 else work
+        pc = self.p_crit
+        values.clip(0.0, pc, out=work[0])
+        values.clip(pc, self.rmax, out=work[1])
+        # the branch axis last, where the (2,) segment columns broadcast
+        out_t, work_t = out.T, work.T
+        for k, (x, slope, h) in enumerate(self._stacked_segments):
+            # from its start density on: p in [px[j], px[j+1]) ends on segment j
+            reached = True if k == 0 else np.greater_equal(work_t, x)
             # slope * (p - x) + h, the order of operations np.interp takes
-            np.subtract(p, x, out=dest)
-            np.multiply(slope, dest, out=dest)
-            np.add(dest, h, out=dest)
-            if k:
-                np.copyto(out, work, where=p >= x)
+            np.subtract(work_t, x, out=out_t, where=reached)
+            np.multiply(slope, out_t, out=out_t, where=reached)
+            np.add(out_t, h, out=out_t, where=reached)
+        for row, height, p in self._copies:
+            np.copyto(out[row], height, where=work[row] == p)
 
     def derivative(self, p: ArrayLike) -> ArrayLike:
         idx = np.clip(np.searchsorted(self._px, self.clamp(p), side="right") - 1, 0, len(self._slopes) - 1)

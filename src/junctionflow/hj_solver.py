@@ -258,7 +258,8 @@ def _march_nodes(states: Sequence[NodeField], j: JunctionModel, legs: Sequence[L
         validate_lip(u0, j)
     grid = states[0].grid
     kernel = FluxKernel(j, grid, u.shape[:-1])
-    slopes = np.empty((*u.shape[:-1], grid.n_cells))
+    # the slopes live in the kernel's demand row: each side's clips read them before H overwrites them
+    slopes = kernel._envelopes[0]
     right_of, left_of = np.s_[..., 1:], np.s_[..., :-1]
     out: list[list[NodeField]] = [[] for _ in states]
     for leg in legs:

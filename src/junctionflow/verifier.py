@@ -43,10 +43,13 @@ DESK_DOMAIN = (-2.0, 2.0)
 #: Seconds one external-solver call may take before the audit gives up on it.
 EXTERNAL_TIMEOUT_S = 600.0
 #: Most entries one internal march holds as a (states, points) array; a larger batch is
-#: marched in chunks.  On 800 cells to t = 1 (2 cores, numpy 2.4), 200 ``random_cell_field``
-#: densities took 31-58% longer as one (200, 800) march than in chunks of 40 rows, chunks of
-#: 10 rows 22-55% longer, and chunks of 20 or 80 rows 0-11% longer (medians of five, four
-#: runs): the work arrays outgrow the cache, or the per-step overhead returns.
+#: marched in chunks, whose buffers (about seven arrays of that size, snapshots aside) this
+#: caps.  On 800 cells to t = 1 (2 cores, 1 MB L2, numpy 2.4), 200 ``random_cell_field``
+#: densities on the default junction took 0.084-0.088 s in chunks of 40 rows, 0.082-0.086 s
+#: in chunks of 80, 0.079-0.083 s as one (200, 800) march, 0.089-0.098 s in chunks of 20 and
+#: 0.112-0.116 s in chunks of 10 (medians of five, four runs); on the README junction
+#: 0.154-0.161, 0.148-0.151, 0.143-0.146, 0.174-0.186 and 0.229-0.238 s.  Chunks above 40
+#: rows gain at most a few percent, so the cap stays for the memory it bounds.
 BATCH_ENTRIES = 32_768
 # Thread-pool sizes of the OpenMP and BLAS runtimes an external command may load (numpy's
 # OpenBLAS among them): unset, each sizes its pool for the whole machine.
@@ -865,7 +868,8 @@ def run_battery(
     """Run every check on a density and a potential handle of one junction and collect a report.
 
     The handles carry the junction (``cl_handle.model``, which ``hj_handle``
-    must share), the grid and the CFL number.  Pass external-process handles
+    must share), the grid and the CFL number; a pair of the wrong schemes
+    or junctions is refused before any check runs.  Pass external-process handles
     to subject a third-party semi-group to the same battery (the bitwise
     locality check then compares it against internal whole-line runs, which
     an independent implementation will fail unless it reproduces the
@@ -873,6 +877,8 @@ def run_battery(
     check; ``limiter_id_agreement`` and the germ scan read the cap estimates
     that ``limiter_id_cl`` and ``limiter_id_hj`` stored.
     """
+    if (cl_handle.scheme, hj_handle.scheme) != ("cl", "hj"):
+        raise ValueError(f"the handles evolve {cl_handle.scheme} and {hj_handle.scheme} states, not cl and hj")
     model = cl_handle.model
     if hj_handle.model != model:
         raise ValueError(f"the handles evolve different junctions: {model} and {hj_handle.model}")

@@ -6,11 +6,13 @@ clip(p, p_crit, rmax), each segment with ``np.interp``'s own
 arithmetic.  ``_InterpPolygon`` keeps the evaluation it replaced
 verbatim: ``_flow_into`` through ``np.interp`` and ``envelopes`` as one
 clip to [0, rmax], one evaluation of H and two masked copies of its
-peak.  ``envelopes`` (on unclipped values, round-off outside [0, rmax]
+peak, on the demand, supply and branch buffers it took then; the
+helpers hand it the rows of the kernel's ``(2, ...)`` buffers.
+``envelopes`` (on unclipped values, round-off outside [0, rmax]
 included), ``eval``, ``demand`` and ``supply`` must give the same
 bytes, signs of zero included, on every breakpoint, its two float
-neighbours and the ends of the range, for 1-D arrays, for the strided
-right-side views of a ``(batch, cells)`` array that
+neighbours and the ends of the range, for 1-D arrays, for the whole
+rows and the strided side views of a ``(batch, cells)`` array that
 ``cl_solver.FluxKernel`` passes, and for floats.  Two frozen polygons
 need the copies of a vertex height that a segment formula misses, one
 at p_crit and one at rmax; the README triangle needs neither.  A
@@ -21,12 +23,15 @@ returns the vertex height -0.0.
 
 The solve outputs on the README junction are frozen by digest, with
 values taken before the change; a ``FluxKernel`` call there makes no
-``np.interp`` call and holds no temporary of the grid's size.
+``np.interp`` call and holds no temporary of the grid's size, and a
+whole march, there and on the desk junction, peaks at seven arrays of
+the grid's size.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import tracemalloc
 
@@ -66,8 +71,15 @@ class _InterpPolygon(PiecewiseLinearFlux):
         np.copyto(supply_out, self._peak_flow, where=p < pc)
 
 
+class _KernelInterpPolygon(_InterpPolygon):
+    """``_InterpPolygon`` behind the kernel's ``envelopes(values, out, work)``: its buffers are their rows."""
+
+    def envelopes(self, values: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+        super().envelopes(values, out[0], out[1], work[0])
+
+
 def _reference(flux: PiecewiseLinearFlux) -> _InterpPolygon:
-    return _InterpPolygon(points=flux.points)
+    return _KernelInterpPolygon(points=flux.points)
 
 
 @st.composite
@@ -108,20 +120,46 @@ def _bits(value) -> tuple[type, bytes]:
     return type(value), np.asarray(value, dtype=float).tobytes()
 
 
+def _envelopes_into(flux, values: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """``flux.envelopes`` on (2, ...) buffers; a verbatim reference's old four buffers are their rows."""
+    if "branch" in inspect.signature(flux.envelopes).parameters:
+        flux.envelopes(values, out[0], out[1], work[0])
+    else:
+        flux.envelopes(values, out, work)
+
+
 def _envelopes(flux, p: np.ndarray) -> tuple[bytes, bytes]:
-    demand, supply = np.full(p.shape, np.nan), np.full(p.shape, np.nan)
-    flux.envelopes(p, demand, supply, np.full(p.shape, np.nan))
-    return demand.tobytes(), supply.tobytes()
+    out = np.full((2, *p.shape), np.nan)
+    _envelopes_into(flux, p, out, np.full(out.shape, np.nan))
+    return out[0].tobytes(), out[1].tobytes()
 
 
 def _strided_envelopes(flux, p: np.ndarray, n_left: int = 5) -> tuple[bytes, bytes]:
-    """Envelopes of the right-side views ``[..., n_left:]`` of three (3, cells) arrays, as the kernel passes them."""
+    """Envelopes of the right-side view ``[..., n_left:]`` of a (3, cells) array, as the kernel passes them.
+
+    They go into the ``[:, ..., n_left:]`` views of (2, 3, cells) buffers.
+    """
     shape = (3, n_left + p.size)
-    values, demand, supply, branch = np.zeros(shape), np.full(shape, np.nan), np.full(shape, np.nan), np.empty(shape)
+    values, out, work = np.zeros(shape), np.full((2, *shape), np.nan), np.empty((2, *shape))
     values[..., n_left:] = [p, p[::-1], np.roll(p, 7)]
     side = np.s_[..., n_left:]
-    flux.envelopes(values[side], demand[side], supply[side], branch[side])
-    return demand.tobytes(), supply.tobytes()
+    _envelopes_into(flux, values[side], out[side], work[side])
+    return out[0].tobytes(), out[1].tobytes()
+
+
+def _batched_envelopes(flux, p: np.ndarray, n_left: int = 5) -> list[bytes]:
+    """Envelopes of (3, cells) values as the kernel passes a batch: all cells at once, then one side at a time.
+
+    Each side is a ``[..., side]`` view of the values and a ``[:, ..., side]`` view of each (2, 3, cells) buffer.
+    """
+    values = np.stack([p, p[::-1], np.roll(p, 7)])
+    results = []
+    for sides in (((...,),), (np.s_[..., :n_left], np.s_[..., n_left:])):
+        out, work = np.full((2, *values.shape), np.nan), np.full((2, *values.shape), np.nan)
+        for side in sides:
+            _envelopes_into(flux, values[side], out[(slice(None), *side)], work[(slice(None), *side)])
+        results.append(out.tobytes())
+    return results
 
 
 @given(flux=polygons(), seed=st.integers(0, 2**32 - 1))
@@ -131,6 +169,13 @@ def test_envelopes_match_np_interp_bytes(flux, seed):
     p = _densities(flux, seed)
     assert _envelopes(flux, p) == _envelopes(ref, p)
     assert _strided_envelopes(flux, p) == _strided_envelopes(ref, p)
+
+
+@given(flux=polygons(), seed=st.integers(0, 2**32 - 1), n_left=st.integers(1, 40))
+@settings(deadline=None)
+def test_batched_envelopes_match_np_interp_bytes(flux, seed, n_left):
+    p = _densities(flux, seed)
+    assert _batched_envelopes(flux, p, n_left) == _batched_envelopes(_reference(flux), p, n_left)
 
 
 @given(flux=polygons(), seed=st.integers(0, 2**32 - 1))
@@ -152,10 +197,8 @@ def test_signed_zero_heights_are_kept():
     """First vertex (-0.0, -0.0), last (1, -0.0): the zero flows keep the vertices' sign, as with np.interp."""
     flux = PiecewiseLinearFlux(points=((-0.0, -0.0), (0.5, 0.25), (1.0, -0.0)))
     p = np.array([0.0, -0.0, 0.25, 0.5, 1.0])
-    demand, supply = np.empty(5), np.empty(5)
-    flux.envelopes(p, demand, supply, np.empty(5))
-    assert demand.tobytes() == np.array([-0.0, -0.0, 0.125, 0.25, 0.25]).tobytes()
-    assert supply.tobytes() == np.array([0.25, 0.25, 0.25, 0.25, -0.0]).tobytes()
+    demand, supply = np.array([-0.0, -0.0, 0.125, 0.25, 0.25]), np.array([0.25, 0.25, 0.25, 0.25, -0.0])
+    assert _envelopes(flux, p) == (demand.tobytes(), supply.tobytes())
     for v in (0.0, -0.0):
         assert _bits(flux.demand(v)) == _bits(flux.eval(v)) == (float, np.float64(-0.0).tobytes())
     assert _bits(flux.supply(1.0)) == _bits(flux.eval(1.0)) == (float, np.float64(-0.0).tobytes())
@@ -270,6 +313,30 @@ def test_march_steps_hold_no_mask_of_the_polygon_side(monkeypatch, readme_juncti
             worst[j is ref, march] = max(peaks[1:])  # the first call also fills the fluxes' caches
     for march in (solve, hj_direct_solve):
         assert worst[False, march] < 2 * grid.n_right <= 8 * grid.n_right <= worst[True, march]
+
+
+@pytest.mark.parametrize("junction", ["sym_junction", "readme_junction"])
+@pytest.mark.parametrize("march", [solve, hj_direct_solve])
+def test_a_march_peaks_at_seven_grid_arrays(request, junction, march):
+    """The march's whole peak (tracemalloc), snapshot included, in arrays of the grid's size.
+
+    The datum's copy, the kernel's two (2, cells) buffers, its fluxes and
+    the snapshot make 7; the density increments and the slopes live in a
+    kernel row, so neither adds an eighth.
+    """
+    j = request.getfixturevalue(junction)
+    grid = Grid(n_left=10_000, n_right=10_000, dx=1e-4)
+    slopes = np.random.default_rng(1).uniform(0.0, 1.0, grid.n_cells)
+    u0 = NodeField(grid, np.concatenate([[0.0], np.cumsum(grid.dx * slopes)]))
+    datum = CellField(grid, slopes) if march is solve else u0
+    t_end = 4 * 0.8 * grid.dx / j.lipschitz_bound
+    tracemalloc.start()
+    try:
+        march(datum, j, t_end)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.05 * 8 * grid.n_cells
 
 
 # -- solve-cl/solve-hj outputs on the README junction, frozen by digest --------------------------

@@ -213,6 +213,16 @@ def test_battery_refuses_handles_on_different_junctions(sym_junction, asym_junct
         run_battery(SemigroupHandle("cl", sym_junction, COARSE_DX), SemigroupHandle("hj", asym_junction, COARSE_DX))
 
 
+@pytest.mark.parametrize("schemes", [("hj", "cl"), ("cl", "cl"), ("hj", "hj")])
+def test_battery_refuses_handles_of_the_wrong_schemes_before_any_check(sym_junction, monkeypatch, schemes):
+    checks, first = [], verifier.check_riemann_admissibility
+    monkeypatch.setattr(verifier, "check_riemann_admissibility", lambda model: checks.append(model) or first(model))
+    cl_handle, hj_handle = (SemigroupHandle(scheme, sym_junction, COARSE_DX) for scheme in schemes)
+    with pytest.raises(ValueError, match=f"the handles evolve {schemes[0]} and {schemes[1]} states, not cl and hj"):
+        run_battery(cl_handle, hj_handle)
+    assert checks == []
+
+
 def test_scale_invariance_refines_the_grids_width(sym_junction, monkeypatch):
     """dx = 0.3 makes 13 cells of 4/13 on [-2, 2]: the fine grids hold 26 and 52, as at dx = 4/13 itself."""
     cells = []
