@@ -10,7 +10,8 @@ comparison-preserving, which is precisely what the verifier checks.
 The grid places x = 0 on a cell interface, cells are uniform with a
 shared width on both sides, and every update runs under the CFL bound
 dt <= cfl * dx / L with L = max |H'| over both fluxes.  ``check_dx``
-and ``Grid`` own the grid rule; the CLI and the handles ask them.
+and ``Grid`` own the grid rule: the CLI builds one ``Grid`` per run,
+and a verifier handle carries the one it is given.
 
 ``FluxKernel`` computes the interface fluxes: demand and supply once
 per cell, each flux clipping its own two branches of the values.  The

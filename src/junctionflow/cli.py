@@ -72,10 +72,6 @@ class ScenarioConfig:
     def model(self) -> JunctionModel:
         return JunctionModel(left=self.flux_left, right=self.flux_right, limiter=self.limiter)
 
-    @property
-    def dx(self) -> float:
-        return (self.domain[1] - self.domain[0]) / self.cells
-
     def build_grid(self) -> cl.Grid:
         return cl.Grid.from_domain(self.domain[0], self.domain[1], self.cells)
 
@@ -166,14 +162,11 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
     flux_right = flux_from_config(data["flux_right"], "flux_right")
     a_max = min(flux_left.capacity, flux_right.capacity)
 
-    limiter = data["limiter"]
-    if limiter == "amax":
-        limiter = a_max
-    else:
-        limiter = config_float(limiter, "limiter")
-    if not (0.0 <= limiter <= a_max * (1.0 + 1e-12) + 1e-9):
-        raise ConfigError(f"limiter: {limiter} outside [0, {a_max}]")
-    limiter = min(limiter, a_max)
+    limiter = a_max if data["limiter"] == "amax" else config_float(data["limiter"], "limiter")
+    try:
+        limiter = JunctionModel(left=flux_left, right=flux_right, limiter=limiter).limiter
+    except LevelError as exc:
+        raise ConfigError(f"limiter: {exc}") from exc
 
     domain = data.get("domain", (-2.0, 2.0))
     if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
@@ -408,7 +401,7 @@ def _cmd_identify(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
     from . import verifier
 
     method = opts["method"]
-    handle = verifier.SemigroupHandle(scheme=method, model=cfg.model, dx=cfg.dx, domain=cfg.domain, cfl=cfg.cfl)
+    handle = verifier.SemigroupHandle(scheme=method, model=cfg.model, grid=cfg.build_grid(), cfl=cfg.cfl)
     identify = verifier.identify_limiter_hj if method == "hj" else verifier.identify_limiter_cl
     estimate = identify(handle)
     _write_manifest(out_dir, cfg, "identify-limiter", method=method, estimate=estimate, files={})
@@ -435,14 +428,15 @@ def _cmd_verify(cfg: ScenarioConfig, out_dir: Path, opts: dict) -> int:
                 raise ConfigError(f"{flag}: must be at least {least}, got {opts[param]}")
             counts[param] = opts[param]
     timeout = opts.get("external_timeout", verifier.EXTERNAL_TIMEOUT_S)
+    grid = cfg.build_grid()
     try:
         cl_handle, hj_handle = (
             verifier.SemigroupHandle(
-                scheme, cfg.model, cfg.dx, cfg.domain, cfg.cfl, tuple(opts.get(f"external_{scheme}") or ()), timeout
+                scheme, cfg.model, grid, cfg.cfl, tuple(opts.get(f"external_{scheme}") or ()), timeout
             )
             for scheme in ("cl", "hj")
         )
-    except ValueError as exc:  # the grid parsed already: the handle refused the timeout
+    except ValueError as exc:  # the scheme is fixed here: the handle refused the timeout
         raise ConfigError(f"--external-timeout: {exc}") from exc
     report = verifier.run_battery(cl_handle, hj_handle, seed=cfg.seed, **counts)
     formats.write_manifest(out_dir / "verify_report.json", report.to_dict())

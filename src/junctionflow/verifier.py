@@ -34,12 +34,10 @@ import numpy as np
 from . import cl_solver as cl
 from . import formats
 from . import hj_solver as hj
-from .errors import GridMismatchError, StepError
+from .errors import StepError
 from .flux_models import CanonicalDatum, DatumShape
 from .junction import JunctionModel, TracePair, germ_contains, germ_dissipative, junction_flux, riemann_traces
 
-DESK_DX = 1.0 / 200.0
-DESK_DOMAIN = (-2.0, 2.0)
 #: Seconds one external-solver call may take before the audit gives up on it.
 EXTERNAL_TIMEOUT_S = 600.0
 #: Most entries one internal march holds as a (states, points) array; a larger batch is
@@ -140,10 +138,11 @@ class SemigroupHandle:
     seconds (it is killed), cannot be started, exits non-zero or writes
     an unusable state is a ``StepError``.
 
-    The fields are the handle's parameters, and it is frozen.  A ``dx``
-    that gives no usable grid is refused at construction; the grid rule
-    itself is ``cl_solver.check_dx``'s and ``Grid``'s.  What it
-    keeps is derived from them on first use: an external handle's
+    The fields are the handle's parameters, and it is frozen.  ``grid``
+    is the ``cl_solver.Grid`` its states live on (by default the desk
+    grid, 800 cells on [-2, 2]); ``Grid`` owns the grid rule, and a
+    refined handle is ``dataclasses.replace(h, grid=...)``.  What it
+    keeps is derived from the fields on first use: an external handle's
     ``_child_path`` and an ``"hj"`` handle's ``_probes``, the runs of the
     canonical wedge probes (``WEDGE_PROBES``), marched in one batch by the
     first potential check that reads them.  ``dataclasses.replace`` makes
@@ -152,8 +151,7 @@ class SemigroupHandle:
 
     scheme: str
     model: JunctionModel
-    dx: float = DESK_DX
-    domain: tuple[float, float] = DESK_DOMAIN
+    grid: cl.Grid = cl.Grid.from_domain(-2.0, 2.0, 800)
     cfl: float = 0.8
     command: tuple[str, ...] = ()
     timeout: float = EXTERNAL_TIMEOUT_S
@@ -163,16 +161,6 @@ class SemigroupHandle:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (0.0 < self.timeout < math.inf):
             raise ValueError(f"external timeout must be positive, got {self.timeout}")
-        try:
-            self.grid  # so that a dx no grid can take fails here, not at the first evolve
-        except (GridMismatchError, OverflowError) as exc:
-            raise ValueError(f"resolution dx {self.dx} gives no usable grid on {self.domain}: {exc}") from exc
-
-    @property
-    def grid(self) -> cl.Grid:
-        x_min, x_max = self.domain
-        n_cells = max(2, int(round((x_max - x_min) / cl.check_dx(self.dx))))
-        return cl.Grid.from_domain(x_min, x_max, n_cells)
 
     def count_steps(self, t_grid: Sequence[float]) -> int:
         legs = cl.plan_march(self.model, self.grid.dx, max(t_grid), self.cfl, t_grid)
@@ -459,14 +447,20 @@ def check_mass(h: SemigroupHandle, n_trials: int = 5, seed: int = 2) -> CheckRec
     )
 
 
+def _cone_time(h: SemigroupHandle) -> float:
+    """End of the finite-speed and locality runs, 0.5 at CFL 0.8 and L = 1: their cones, t L / cfl, stay 0.625 wide."""
+    return 0.5 * (h.cfl / 0.8) / h.model.lipschitz_bound
+
+
 def check_finite_speed(h: SemigroupHandle, seed: int = 3) -> CheckRecord:
     """Data equal on [a, b] evolve identically inside the shrunken interval.
 
     The numerical domain of dependence grows one cell per step, so after
     n steps the solutions must agree bitwise on [a + n dx, b - n dx]
-    (one extra cell of padding on each side).
+    (one extra cell of padding on each side).  The runs end at
+    ``_cone_time(h)``.
     """
-    a, b, t_end = -1.2, 1.2, 0.5
+    a, b, t_end = -1.2, 1.2, _cone_time(h)
     rng = np.random.default_rng(seed)
     grid = h.grid
     f1 = random_cell_field(grid, h.model, rng, support=(grid.x_min, grid.x_max))
@@ -498,10 +492,11 @@ def check_locality(h: SemigroupHandle, seed: int = 4) -> CheckRecord:
     flux to the plain interior flux, and marches the internal scheme on
     the junction run's steps (its CFL number scaled by the ratio of the
     Lipschitz bounds, so both plan the same legs); agreement is required
-    bitwise outside the cone that the junction can influence.  One flux
-    on both sides makes one whole-line run, read on both sides.
+    bitwise outside the cone that the junction can influence by
+    ``_cone_time(h)``.  One flux on both sides makes one whole-line run,
+    read on both sides.
     """
-    t_end = 0.5
+    t_end = _cone_time(h)
     grid = h.grid
     rng = np.random.default_rng(seed)
     vcap = min(h.model.left.rmax, h.model.right.rmax)
@@ -540,6 +535,7 @@ def _sample_profile(state: cl.CellField, x: np.ndarray) -> np.ndarray:
 def check_scale_invariance_cl(h: SemigroupHandle, eps_list: Sequence[float] = (2.0, 4.0)) -> CheckRecord:
     """Riemann data are self-similar: runs at (t, dx) and (t/eps, dx/eps) agree in xi = x/t.
 
+    The fine runs cut the handle's domain into eps times as many cells.
     The gap is measured in L1 over xi in [-2, 2] and allowed twice the
     single-run error budget at resolution dx (0.01 at dx = 1/200).
     """
@@ -552,8 +548,8 @@ def check_scale_invariance_cl(h: SemigroupHandle, eps_list: Sequence[float] = (2
     d_xi = xi[1] - xi[0]
     worst = 0.0
     for eps in eps_list:
-        fine = replace(h, dx=grid.dx / eps, command=())
-        scaled = fine.evolve_cl([cl.riemann_field(fine.grid, *riemann)], [t_base / eps])[0][-1]
+        fine = cl.Grid.from_domain(grid.x_min, grid.x_max, round(grid.n_cells * eps))
+        scaled = replace(h, grid=fine, command=()).evolve_cl([cl.riemann_field(fine, *riemann)], [t_base / eps])[0][-1]
         gap = np.abs(_sample_profile(base, xi * t_base) - _sample_profile(scaled, xi * (t_base / eps)))
         worst = max(worst, float(np.sum(gap) * d_xi))
     return CheckRecord(

@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from junctionflow import JunctionModel, PiecewiseLinearFlux, QuadraticFlux, SemigroupHandle, formats, run_battery
+from junctionflow import Grid, JunctionModel, PiecewiseLinearFlux, QuadraticFlux, SemigroupHandle, formats, run_battery
 from junctionflow.cli import parse_config
 
-DESK_DX = 1.0 / 200.0
+DESK_CELLS = 800
 #: The scenario config the README shows, verbatim.
 README_SCENARIO = Path(__file__).parent / "data" / "readme_scenario.json"
 
@@ -125,12 +125,13 @@ def battery_report(sym_junction):
     Runs once per session (about half a minute); individual criteria read
     the records they need instead of re-running the expensive checks.
     """
-    return run_battery(*handles(sym_junction, DESK_DX), seed=0)
+    return run_battery(*handles(sym_junction, DESK_CELLS), seed=0)
 
 
-def handles(model: JunctionModel, dx: float) -> tuple:
-    """The internal (density, potential) handle pair that ``run_battery`` audits, at dx on [-2, 2]."""
-    return tuple(SemigroupHandle(scheme, model, dx) for scheme in ("cl", "hj"))
+def handles(model: JunctionModel, n_cells: int) -> tuple:
+    """The internal (density, potential) handle pair that ``run_battery`` audits, on one grid of n_cells on [-2, 2]."""
+    grid = Grid.from_domain(-2.0, 2.0, n_cells)
+    return tuple(SemigroupHandle(scheme, model, grid) for scheme in ("cl", "hj"))
 
 
 def battery_record(report, name: str):

@@ -131,13 +131,13 @@ def test_criterion_4_riemann_convergence(sym_junction, uncapped_junction, accept
 
 def test_criterion_5_limiter_identification(default_flux, acceptance):
     """Both probes recover the configured cap at dx = 1/400 and agree."""
-    dx = 1.0 / 400.0
+    grid = Grid.from_domain(-2.0, 2.0, 1600)
     worst_err = 0.0
     worst_gap = 0.0
     for limiter in (0.0, 0.09375, 0.1875, 0.25):
         model = JunctionModel(left=default_flux, right=default_flux, limiter=limiter)
-        h_cl = SemigroupHandle("cl", model=model, dx=dx)
-        h_hj = SemigroupHandle("hj", model=model, dx=dx)
+        h_cl = SemigroupHandle("cl", model=model, grid=grid)
+        h_hj = SemigroupHandle("hj", model=model, grid=grid)
         a_cl = identify_limiter_cl(h_cl)
         a_hj = identify_limiter_hj(h_hj)
         worst_err = max(worst_err, abs(a_cl - limiter), abs(a_hj - limiter))

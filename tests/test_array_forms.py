@@ -433,7 +433,7 @@ def test_grid_and_oracle_checks_match_the_per_point_loops(j, grid_n, seed):
     assert check_oracle_scale_invariance(j, n_samples=12, seed=seed).measured == _ref_oracle_scale_invariance(
         j, 12, seed
     )
-    h = SemigroupHandle("cl", j, dx=1 / 16, domain=(-1.0, 1.0))
+    h = SemigroupHandle("cl", j, cl.Grid.from_domain(-1.0, 1.0, 32))
     scan = empirical_germ_scan(h, grid_n, t_end=0.25, limiter_estimate=j.limiter)
     ref = _ref_germ_scan(h, grid_n, t_end=0.25, limiter_estimate=j.limiter)
     for kind in ("stationary", "evolving", "misclassified"):

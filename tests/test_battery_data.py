@@ -109,7 +109,7 @@ def test_random_cell_field_matches_the_per_draw_loop(j, n_cells, kind, seed, dra
 @given(j=junctions(), n_trials=st.integers(0, 4), seed=st.integers(0, 2**32 - 1), nodes=st.booleans())
 @settings(deadline=None, max_examples=60)
 def test_pair_data_match_the_per_draw_loop(j, n_trials, seed, nodes):
-    h = SemigroupHandle("cl", j, dx=1 / 25)
+    h = SemigroupHandle("cl", j, Grid.from_domain(-2.0, 2.0, 100))
     drawn = []
 
     def evolve(data, t_grid):

@@ -37,8 +37,8 @@ def bench():
 def test_layer_metrics_cover_every_per_layer_name(bench, sym_junction):
     run, tracing = bench
     grid = Grid.from_domain(-1.0, 1.0, 16)
-    h_cl = SemigroupHandle("cl", model=sym_junction, dx=grid.dx, domain=(-1.0, 1.0))
-    h_hj = SemigroupHandle("hj", model=sym_junction, dx=grid.dx, domain=(-1.0, 1.0))
+    h_cl = SemigroupHandle("cl", model=sym_junction, grid=grid)
+    h_hj = SemigroupHandle("hj", model=sym_junction, grid=grid)
     tracer = tracing.Tracer(tracing.LAYER_TARGETS).install()
     try:
         h_cl.evolve_cl([riemann_field(grid, 0.6, 0.3)] * 3, [0.1, 0.2])
@@ -113,8 +113,8 @@ def test_a_lone_state_is_marched_through_the_counted_names(monkeypatch, sym_junc
     grid = Grid.from_domain(-1.0, 1.0, 16)
     cells = [riemann_field(grid, 0.6, 0.3)] * size
     nodes = [NodeField(grid, 0.5 * grid.node_coords())] * size
-    h_cl = SemigroupHandle("cl", model=sym_junction, dx=grid.dx, domain=(-1.0, 1.0))
-    h_hj = SemigroupHandle("hj", model=sym_junction, dx=grid.dx, domain=(-1.0, 1.0))
+    h_cl = SemigroupHandle("cl", model=sym_junction, grid=grid)
+    h_hj = SemigroupHandle("hj", model=sym_junction, grid=grid)
     marches = [
         ("solve", lambda: cl_solver.solve_batch(cells, sym_junction, 0.2)),
         ("hj_direct_solve", lambda: hj_solver.hj_direct_solve_batch(nodes, sym_junction, 0.2)),

@@ -14,7 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from junctionflow import GridMismatchError, SemigroupHandle, cl_solver, hj_solver, read_cell_csv, read_node_csv
+from junctionflow import (
+    GridMismatchError,
+    JunctionModel,
+    LevelError,
+    QuadraticFlux,
+    SemigroupHandle,
+    cl_solver,
+    hj_solver,
+    read_cell_csv,
+    read_node_csv,
+)
 from junctionflow.cli import (
     ConfigError,
     main,
@@ -129,6 +139,27 @@ def test_parse_config_rejects_bool_numbers():
         parse_config_dict({**BASE_CONFIG, "limiter": True})
 
 
+@pytest.mark.parametrize(
+    "limiter, expected",
+    [
+        (0.25 + 5e-10, None),  # past the junction's slack above a_max: refused
+        (0.25 * (1.0 + 1e-12), 0.25),  # inside it: clamped
+        (-5e-13, 0.0),  # inside its slack below 0: clamped
+    ],
+)
+def test_config_limiter_follows_the_junction_rule(limiter, expected):
+    """At the margins of [0, a_max] the config accepts, clamps and refuses a limiter as JunctionModel does."""
+    flux = QuadraticFlux(rmax=1.0, hmax=0.25)
+    config = {**BASE_CONFIG, "limiter": limiter}
+    if expected is None:
+        with pytest.raises(LevelError) as refused:
+            JunctionModel(flux, flux, limiter)
+        with pytest.raises(ConfigError, match=f"^limiter: {re.escape(str(refused.value))}$"):
+            parse_config_dict(config)
+    else:
+        assert parse_config_dict(config).limiter == JunctionModel(flux, flux, limiter).limiter == expected
+
+
 def test_resolve_output_dir_precedence(tmp_path, monkeypatch):
     monkeypatch.delenv("JUNCTIONFLOW_OUT", raising=False)
     assert resolve_output_dir(str(tmp_path)) == tmp_path
@@ -241,7 +272,7 @@ def test_manifest_steps_frozen(tmp_path, subcommand, scheme, datum):
     assert manifest["steps"] == FROZEN_STEPS
     assert manifest["snapshots"] == [0.0, 0.1, 0.1, 0.25]
     cfg = parse_config_dict(json.loads(path.read_text()))
-    handle = SemigroupHandle(scheme, cfg.model, cfg.dx, cfg.domain, cfg.cfl)
+    handle = SemigroupHandle(scheme, cfg.model, cfg.build_grid(), cfg.cfl)
     assert handle.count_steps(cfg.snapshots) == sum(leg["n_steps"] for leg in FROZEN_STEPS) == 7
 
 
@@ -520,6 +551,33 @@ def test_verify_internal_passes(tmp_path, capsys):
     assert report["all_passed"] is True
     assert report["identified_limiter"] == pytest.approx(0.1875, abs=0.01)
     assert len(report["checks"]) >= 18
+
+
+STEEP_FLUX = {"kind": "quadratic", "rmax": 1.0, "hmax": 0.5}
+TRIANGLE_FLUX = {"kind": "piecewise_linear", "points": [[0, 0], [0.5, 0.25], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"cfl": 0.4},
+        {"cfl": 0.2},
+        {"flux_left": STEEP_FLUX, "flux_right": STEEP_FLUX, "limiter": 0.375},
+        {"flux_right": TRIANGLE_FLUX, "cfl": 0.2},
+        {"flux_right": TRIANGLE_FLUX, "cfl": 0.05},
+    ],
+    ids=["cfl-0.4", "cfl-0.2", "steep", "readme-cfl-0.2", "readme-cfl-0.05"],
+)
+def test_verify_keeps_its_windows_at_any_cfl_and_wave_speed(tmp_path, capsys, patch):
+    """finite_speed and locality end at 0.5 (cfl / 0.8) / L, so 200 cells keep their windows nonempty."""
+    cfg = write_config(tmp_path, cells=200, datum=None, t_end=1.0, **patch)
+    rc = main(
+        ["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+         "--l1-trials", "1", "--linf-trials", "1", "--scan-grid", "2"]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "ALL CHECKS PASSED (18/18)" in out
 
 
 def test_verify_broken_external_numerical_failure(tmp_path, capsys):

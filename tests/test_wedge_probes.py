@@ -15,7 +15,7 @@ import dataclasses
 
 import pytest
 
-from junctionflow import SemigroupHandle, StepError, cl_solver, identify_limiter_hj, run_battery
+from junctionflow import Grid, SemigroupHandle, StepError, cl_solver, identify_limiter_hj, run_battery
 from junctionflow.verifier import (
     WEDGE_PROBES,
     WEDGE_T,
@@ -27,7 +27,7 @@ from junctionflow.verifier import (
 from conftest import handles
 from test_verifier import _calls, _kept, _logging_handle
 
-DX = 1.0 / 50.0
+GRID = Grid.from_domain(-2.0, 2.0, 200)
 WEDGE_CHECKS = (check_duality, check_supersolution_floor, check_hj_exact_agreement)
 
 
@@ -50,7 +50,7 @@ def _fields(record) -> tuple:
 
 
 def test_battery_marches_the_wedge_probes_in_one_call(sym_junction, evolve_hj_calls):
-    run_battery(*handles(sym_junction, DX), l1_trials=1, linf_trials=2, scan_grid_n=2)
+    run_battery(*handles(sym_junction, GRID.n_cells), l1_trials=1, linf_trials=2, scan_grid_n=2)
     assert evolve_hj_calls == [
         (2 * 2, (0.5, 1.0)),  # linf_contraction: 2 pairs
         (5 * 4, (1.0,)),  # constants_commute: 5 data, each with 3 shifts
@@ -59,19 +59,19 @@ def test_battery_marches_the_wedge_probes_in_one_call(sym_junction, evolve_hj_ca
 
 
 def test_lone_wedge_checks_match_the_battery(readme_junction, evolve_hj_calls):
-    report = run_battery(*handles(readme_junction, DX), l1_trials=1, linf_trials=1, scan_grid_n=2)
+    report = run_battery(*handles(readme_junction, GRID.n_cells), l1_trials=1, linf_trials=1, scan_grid_n=2)
     by_name = {rec.name: rec for rec in report.records}
     for check in WEDGE_CHECKS:
         del evolve_hj_calls[:]
-        record = check(SemigroupHandle("hj", readme_junction, DX))
+        record = check(SemigroupHandle("hj", readme_junction, GRID))
         assert _fields(record) == _fields(by_name[record.name])
         assert evolve_hj_calls == [(len(WEDGE_PROBES), (WEDGE_T,))]  # a lone call marches all four probes
-    estimate = identify_limiter_hj(SemigroupHandle("hj", readme_junction, DX))
+    estimate = identify_limiter_hj(SemigroupHandle("hj", readme_junction, GRID))
     assert repr(estimate) == repr(report.identified_limiter)
 
 
 def test_wedge_checks_read_one_store_in_any_order(sym_junction, evolve_hj_calls):
-    h = SemigroupHandle("hj", sym_junction, DX)
+    h = SemigroupHandle("hj", sym_junction, GRID)
     first = [_fields(check(h)) for check in WEDGE_CHECKS]
     again = [_fields(check(h)) for check in reversed(WEDGE_CHECKS)]
     assert again == first[::-1]
@@ -103,24 +103,25 @@ def test_failed_probe_march_is_asked_again(tmp_path, sym_junction):
 
 
 @pytest.mark.parametrize("name,value", [
-    ("model", None), ("dx", 0.1), ("domain", (-1.0, 1.0)), ("cfl", 0.5), ("command", ("true",)), ("timeout", 1.0),
+    ("model", None), ("grid", Grid.from_domain(-1.0, 1.0, 16)), ("scheme", "cl"), ("cfl", 0.5), ("command", ("true",)),
+    ("timeout", 1.0),
 ])
 def test_handle_parameters_cannot_be_assigned(sym_junction, name, value):
-    h = SemigroupHandle("hj", sym_junction, DX)
+    h = SemigroupHandle("hj", sym_junction, GRID)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(h, name, value)
 
 
 def test_handle_fields_are_its_parameters():
     names = [f.name for f in dataclasses.fields(SemigroupHandle)]
-    assert names == ["scheme", "model", "dx", "domain", "cfl", "command", "timeout"]
+    assert names == ["scheme", "model", "grid", "cfl", "command", "timeout"]
 
 
 def test_replaced_handle_starts_with_empty_stores(sym_junction, evolve_hj_calls):
-    h = SemigroupHandle("hj", sym_junction, DX)
+    h = SemigroupHandle("hj", sym_junction, GRID)
     check_duality(h)
     assert h._probes
-    twin = dataclasses.replace(h, dx=DX / 2)
+    twin = dataclasses.replace(h, grid=Grid.from_domain(-2.0, 2.0, 400))
     assert _kept(twin) == set() and h._probes
     assert "dx=0.01" in check_hj_exact_agreement(twin).scenario
     assert evolve_hj_calls == [(len(WEDGE_PROBES), (WEDGE_T,))] * 2
@@ -140,6 +141,6 @@ def test_locality_marches_one_line_run_per_distinct_flux(request, monkeypatch, j
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(cl_solver, "solve", counted)
-    record = check_locality(SemigroupHandle("cl", request.getfixturevalue(junction), DX))
+    record = check_locality(SemigroupHandle("cl", request.getfixturevalue(junction), GRID))
     assert record.measured == 0.0
     assert len(calls) == solves
