@@ -45,7 +45,6 @@ from .cl_solver import (
     plan_steps,
     riemann_field,
     solve,
-    solve_batch,
     step,
     trace_estimate,
 )
@@ -57,7 +56,6 @@ from .hj_solver import (
     exact_roof_drain,
     exact_valley_capped,
     hj_direct_solve,
-    hj_direct_solve_batch,
     hj_from_cl,
     node_field_from_function,
     sup_distance,

@@ -21,14 +21,13 @@ CFL bound the scheme is monotone, so its states stay inside [0, R] up
 to the round-off that each step's branch clips absorb, and no step
 checks again.
 ``_march_cells`` is the one density march, building a ``CellField``
-only at snapshots; ``solve``, ``solve_batch`` (states of one grid as
-the rows of one array, bit for bit their ``solve`` runs) and ``step``
-(one leg of one step) are thin calls of it.  Two forks stay: one state
-stays a 1-D array, whose junction and edge minima cost about 15 µs a
-step less than as a (1, cells) array; and a batch of one is a call of
-the module's ``solve``, the one name a benchmark tracer counts cell
-updates in.  ``plan_march`` is the one step planner: both schemes,
-the verifier's step counts and the CLI manifests read their legs from it.
+only at snapshots; ``solve`` and ``step`` (one leg of one step) are
+thin calls of it, and a verifier handle marches a batch (states of one
+grid as the rows of one array, bit for bit their ``solve`` runs) with
+it directly.  One state stays a 1-D array, whose junction and edge
+minima cost about 15 µs a step less than as a (1, cells) array.
+``plan_march`` is the one step planner: both schemes, the verifier's
+handles and the CLI manifests read their legs from it.
 """
 
 from __future__ import annotations
@@ -331,26 +330,6 @@ def solve(
     """
     legs = plan_march(j, rho0.grid.dx, t_end, cfl, snapshot_times, t0=rho0.time)
     return _march_cells([rho0], j, legs, rho0.values.copy())[0]
-
-
-def solve_batch(
-    states: Sequence[CellField],
-    j: JunctionModel,
-    t_end: float,
-    cfl: float = 0.8,
-    snapshot_times: Sequence[float] | None = None,
-) -> list[list[CellField]]:
-    """``solve`` for each of ``states`` (one grid, one time), marched as one (batch, cells) array.
-
-    Returns one snapshot list per state, bit for bit its ``solve`` run.
-    Every state is validated on entry.  A batch of one is a ``solve``
-    call (see the module docstring).
-    """
-    grid, t0 = batch_start(states)
-    if len(states) == 1:
-        return [solve(states[0], j, t_end, cfl, snapshot_times)]
-    legs = plan_march(j, grid.dx, t_end, cfl, snapshot_times, t0=t0)
-    return _march_cells(states, j, legs, np.stack([s.values for s in states]))
 
 
 def _march_cells(states: Sequence[CellField], j: JunctionModel, legs: Sequence[Leg], v: np.ndarray):

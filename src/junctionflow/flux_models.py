@@ -42,10 +42,10 @@ own branch, clip(p, 0, p_crit) or clip(p, p_crit, rmax): the two are
 clipped into the rows of one ``(2, ...)`` buffer with ``ndarray.clip``
 (``np.clip``'s ufunc at half its per-call cost on small arrays), and H
 runs once over both rows.  A clip to [0, rmax] and then min or max with
-p_crit is that clip, signed zeros included, and H(p_crit) is
-``_peak_flow``.  Each clip takes scalar bounds: numpy may clip -0.0 to
-+0.0 where its bounds vary along the inner loop, as one call with a
-bound per row does on a side view of a batch.
+p_crit is that clip, signed zeros included.  Each clip takes scalar
+bounds: numpy may clip -0.0 to +0.0 where its bounds vary along the
+inner loop, as one call with a bound per row does on a side view of a
+batch.
 The kernel's junction and edge minima, ``junction`` and the closed
 forms break ties with ``first_min``/``first_max``: the first of equals,
 as Python's ``min``/``max``.
@@ -74,7 +74,6 @@ records the crossover).  ``np.interp`` remains in ``roots``.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 import sys
@@ -240,11 +239,6 @@ class ConcaveFlux:
         values.clip(0.0, pc, out=work[0])
         values.clip(pc, self.rmax, out=work[1])
         self._flow_into(work, out, work)
-
-    @functools.cached_property
-    def _peak_flow(self) -> float:
-        """H(p_crit) as the formula evaluates it, which may miss ``capacity`` by an ulp."""
-        return float(self._flow(self.p_crit))
 
     def _flow(self, p: ArrayLike) -> np.ndarray:
         """H of densities already inside [0, rmax], into a new array; unvalidated."""

@@ -21,10 +21,10 @@ Three independent ways to produce u(t) live here:
   slopes, so it steps u -= dt * F(diff(u) / dx) with the density
   scheme's ``FluxKernel``; only its two outer nodes differ, carrying
   H of their one slope rather than a copy-cell Godunov flux.
-  ``hj_direct_solve_batch`` marches many potentials of one grid as the
-  rows of one array, bit for bit their single runs.  Both are thin
-  calls of one march body, ``_march_nodes``, which keeps the two forks
-  of ``cl_solver``'s density march for the same reasons.
+  It is a thin call of ``_march_nodes``, which a verifier handle also
+  runs on many potentials of one grid as the rows of one array, bit for
+  bit their single runs, keeping the 1-D fork of ``cl_solver``'s
+  density march for the same reason.
 
 The direct scheme's slope dynamics coincide with the Godunov update, so
 the two discrete routes agree up to accumulated round-off.
@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cl_solver import CellField, FluxKernel, Grid, Leg, batch_start, plan_march
+from .cl_solver import CellField, FluxKernel, Grid, Leg, plan_march
 from .errors import DomainError, GridMismatchError
 from .flux_models import (
     BOUNDARY_TOL, ArrayLike, CanonicalDatum, DatumShape, canonical_eval, first_entry, first_max, float_or_array,
@@ -230,26 +230,6 @@ def hj_direct_solve(
     """
     legs = plan_march(j, u0.grid.dx, t_end, cfl, snapshot_times, t0=u0.time)
     return _march_nodes([u0], j, legs, u0.values.copy())[0]
-
-
-def hj_direct_solve_batch(
-    states: Sequence[NodeField],
-    j: JunctionModel,
-    t_end: float,
-    cfl: float = 0.8,
-    snapshot_times: Sequence[float] | None = None,
-) -> list[list[NodeField]]:
-    """``hj_direct_solve`` for each of ``states`` (one grid, one time), marched as one (batch, nodes) array.
-
-    Returns one snapshot list per state, bit for bit its
-    ``hj_direct_solve`` run.  Every state is validated on entry.  A
-    batch of one is an ``hj_direct_solve`` call, as in ``solve_batch``.
-    """
-    grid, t0 = batch_start(states)
-    if len(states) == 1:
-        return [hj_direct_solve(states[0], j, t_end, cfl, snapshot_times)]
-    legs = plan_march(j, grid.dx, t_end, cfl, snapshot_times, t0=t0)
-    return _march_nodes(states, j, legs, np.stack([s.values for s in states]))
 
 
 def _march_nodes(states: Sequence[NodeField], j: JunctionModel, legs: Sequence[Leg], u: np.ndarray):

@@ -125,18 +125,22 @@ class SemigroupHandle:
     ``scheme`` names the states it evolves: ``"cl"`` densities (cells)
     or ``"hj"`` potentials (nodes).  ``evolve_cl``/``evolve_hj`` take a
     sequence of states on one grid at one time and return one snapshot
-    list per state.  With an empty ``command`` the handle marches the
-    states as the rows of one array with the in-process solver of its
-    scheme; otherwise each (state, time) is one ask: one call of
-    ``command`` with arguments (input CSV path, time elapsed since the
-    state's time, output CSV path), its result read back in the cell or
-    node CSV schema and labelled with the time asked, however often that
-    (state, time) was asked before.  The asks of one batch run
-    concurrently, up to one per usable CPU, each with its share of those
-    CPUs for the thread pools it starts; the first failing ask in (state,
-    time) order is raised.  An ask whose command runs past ``timeout``
-    seconds (it is killed), cannot be started, exits non-zero or writes
-    an unusable state is a ``StepError``.
+    list per state.  A request (one grid, one start time, times the
+    single runs accept) is validated once, before any march or call.
+    With an empty ``command`` the handle marches the states in-process,
+    as the rows of one array in chunks of at most ``BATCH_ENTRIES``
+    entries, each row bit for bit its single run; a chunk of one state
+    is a call of ``solve``/``hj_direct_solve``, the names a benchmark
+    tracer counts updates in.  Otherwise each (state, time) is one ask:
+    one call of ``command`` with arguments (input CSV path, time elapsed
+    since the state's time, output CSV path), its result read back in
+    the cell or node CSV schema and labelled with the time asked,
+    however often that (state, time) was asked before.  The asks of one
+    batch run concurrently, up to one per usable CPU, each with its
+    share of those CPUs for the thread pools it starts; the first
+    failing ask in (state, time) order is raised.  An ask whose command
+    runs past ``timeout`` seconds (it is killed), cannot be started,
+    exits non-zero or writes an unusable state is a ``StepError``.
 
     The fields are the handle's parameters, and it is frozen.  ``grid``
     is the ``cl_solver.Grid`` its states live on (by default the desk
@@ -176,21 +180,25 @@ class SemigroupHandle:
 
     def _evolve(self, scheme, states, snapshot_times):
         # Built per call, so that a march or CSV function swapped on its module (a tracer, a double) is seen.
-        march_batch, write, read, noun = {
-            "cl": (cl.solve_batch, formats.write_cell_csv, formats.read_cell_csv, "densities"),
-            "hj": (hj.hj_direct_solve_batch, formats.write_node_csv, formats.read_node_csv, "potentials"),
+        single, march, write, read, noun = {
+            "cl": (cl.solve, cl._march_cells, formats.write_cell_csv, formats.read_cell_csv, "densities"),
+            "hj": (hj.hj_direct_solve, hj._march_nodes, formats.write_node_csv, formats.read_node_csv, "potentials"),
         }[scheme]
         if self.scheme != scheme:
             raise StepError(f"{self.scheme} handle does not evolve {noun}")
-        grid, t0 = cl.batch_start(states)  # the whole request: chunks are checked one at a time
+        grid, t0 = cl.batch_start(states)
         t_end = max(snapshot_times, default=t0)
-        times = cl.check_march(self.cfl, t_end, snapshot_times, t0)
         if self.command:
-            return self._evolve_external(states, grid, times, write, read)
+            return self._evolve_external(states, grid, cl.check_march(self.cfl, t_end, snapshot_times, t0), write, read)
+        legs = cl.plan_march(self.model, grid.dx, t_end, self.cfl, snapshot_times, t0)
         rows = max(1, BATCH_ENTRIES // states[0].values.size)
         out = []
         for k in range(0, len(states), rows):
-            out += march_batch(states[k : k + rows], self.model, t_end, cfl=self.cfl, snapshot_times=times)
+            chunk = states[k : k + rows]
+            if len(chunk) == 1:
+                out.append(single(chunk[0], self.model, t_end, self.cfl, snapshot_times))
+            else:
+                out += march(chunk, self.model, legs, np.stack([s.values for s in chunk]))
         return out
 
     def _evolve_external(self, states, grid, times, write, read):

@@ -873,10 +873,10 @@ PUBLIC_NAMES = [
     "canonical_eval", "canonical_field", "canonical_node_field", "classical_riemann", "empirical_germ_scan",
     "exact_roof0_capped", "exact_roof0_uncapped", "exact_roof_drain", "exact_valley_capped",
     "field_from_function", "flux_from_config", "germ_contains", "germ_dissipative", "godunov_flux",
-    "hj_direct_solve", "hj_direct_solve_batch", "hj_from_cl", "identify_limiter_cl", "identify_limiter_hj",
+    "hj_direct_solve", "hj_from_cl", "identify_limiter_cl", "identify_limiter_hj",
     "junction_flux", "kruzhkov_flux", "l1_distance", "mass", "node_field_from_function", "plan_march",
     "plan_steps", "random_cell_field", "random_node_field", "read_cell_csv", "read_manifest", "read_node_csv",
-    "riemann_field", "riemann_profile", "riemann_traces", "run_battery", "solve", "solve_batch", "step",
+    "riemann_field", "riemann_profile", "riemann_traces", "run_battery", "solve", "step",
     "sup_distance", "trace_estimate", "validate_lip", "write_cell_csv", "write_manifest", "write_node_csv",
 ]
 

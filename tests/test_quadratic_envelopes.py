@@ -31,11 +31,12 @@ class _MaskedQuadratic(QuadraticFlux):
 
     def envelopes(self, values: np.ndarray, demand_out: np.ndarray, supply_out: np.ndarray, branch: np.ndarray) -> None:
         pc = self.p_crit
+        peak = float(self._flow(pc))  # H(p_crit) as the formula evaluates it, which may miss capacity by an ulp
         p = self.clamp(values, out=branch)
         self._flow_into(p, demand_out, supply_out)
         np.copyto(supply_out, demand_out)
-        np.copyto(demand_out, self._peak_flow, where=p > pc)
-        np.copyto(supply_out, self._peak_flow, where=p < pc)
+        np.copyto(demand_out, peak, where=p > pc)
+        np.copyto(supply_out, peak, where=p < pc)
 
 
 def _densities(flux: QuadraticFlux, seed: int) -> np.ndarray:
@@ -71,6 +72,6 @@ def test_envelopes_match_the_masked_form_outside_the_range():
     assert _strided_envelopes(flux, p) == _strided_envelopes(ref, p)
     demand, supply = (np.frombuffer(row) for row in _envelopes(flux, p))
     assert np.signbit(demand[:3]).tolist() == [False, True, False]  # H(-1e-9) = H(0.0) = +0.0, H(-0.0) = -0.0
-    peak = flux._peak_flow
+    peak = float(flux._flow(flux.p_crit))
     assert [demand[3], demand[5], *supply[:5]] == [peak] * 7  # each envelope's flat side is H(p_crit)
     assert supply[-2:].tolist() == [0.0, 0.0]

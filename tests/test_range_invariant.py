@@ -2,9 +2,10 @@
 
 Under the CFL bound both schemes are monotone, so a datum inside
 [0, R] up to ``BOUNDARY_TOL`` stays there: every snapshot of ``solve``
-and ``solve_batch`` lies within [-BOUNDARY_TOL, R + BOUNDARY_TOL] on
-each side, and every snapshot of ``hj_direct_solve`` and
-``hj_direct_solve_batch`` passes ``validate_lip``.  On the strength of
+and of a handle's batch of densities lies within
+[-BOUNDARY_TOL, R + BOUNDARY_TOL] on each side, and every snapshot of
+``hj_direct_solve`` and of a batch of potentials passes
+``validate_lip``.  On the strength of
 this, ``cl_solver.FluxKernel`` clips each step without a range check.
 """
 
@@ -19,10 +20,9 @@ from junctionflow import (
     CellField,
     Grid,
     NodeField,
+    SemigroupHandle,
     hj_direct_solve,
-    hj_direct_solve_batch,
     solve,
-    solve_batch,
     validate_lip,
 )
 from strategies import junctions, side_values, twin_junctions
@@ -81,7 +81,7 @@ def test_densities_stay_in_range(case):
     rng = np.random.default_rng(seed)
     states = [CellField(grid, _densities(rng, j, grid)) for _ in range(size)]
     _assert_in_range(solve(states[0], j, times[-1], cfl, times), j)
-    for run in solve_batch(states, j, times[-1], cfl, times):
+    for run in SemigroupHandle("cl", j, grid, cfl).evolve_cl(states, times):
         _assert_in_range(run, j)
 
 
@@ -93,6 +93,6 @@ def test_potentials_stay_in_the_lip_class(case):
     states = [NodeField(grid, _potential(rng, j, grid)) for _ in range(size)]
     for u in hj_direct_solve(states[0], j, times[-1], cfl, times):
         validate_lip(u, j)
-    for run in hj_direct_solve_batch(states, j, times[-1], cfl, times):
+    for run in SemigroupHandle("hj", j, grid, cfl).evolve_hj(states, times):
         for u in run:
             validate_lip(u, j)

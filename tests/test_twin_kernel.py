@@ -2,16 +2,16 @@
 
 When the junction's two fluxes are equal, ``cl_solver.FluxKernel``
 evaluates the envelopes of all cells in one pass instead of one pass a
-side.  The marches below run on such twin junctions, with
-data that holds ``-0.0``, single and batched.  They must agree with
-``test_kernel``'s verbatim references as ``test_kernel`` compares, and
-byte for byte, signs of zero included, with the same march on a junction
-whose right flux is an unequal twin: the same arithmetic under a
-subclass, which the kernel marches one pass a side.  The references
-take the junction minimum with ``junction.junction_flux``, which breaks
-ties as the kernel does (first of cap, demand, supply), so a zero flux
-keeps its sign too.  A bad datum must be reported with the message of
-the per-side references.
+side.  The marches below run on such twin junctions, with data that
+holds ``-0.0``, single and batched (by ``SemigroupHandle``).  They must
+agree with ``test_kernel``'s verbatim references as ``test_kernel``
+compares, and byte for byte, signs of zero included, with the same
+march on a junction whose right flux is an unequal twin: the same
+arithmetic under a subclass, which the kernel marches one pass a side.
+The references take the junction minimum with
+``junction.junction_flux``, which breaks ties as the kernel does (first
+of cap, demand, supply), so a zero flux keeps its sign too.  A bad
+datum must be reported with the message of the per-side references.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from junctionflow import (
     NodeField,
     PiecewiseLinearFlux,
     QuadraticFlux,
+    SemigroupHandle,
     hj_direct_solve,
-    hj_direct_solve_batch,
     solve,
-    solve_batch,
     step,
 )
 from junctionflow.cl_solver import FluxKernel
@@ -138,10 +137,11 @@ def test_solve_on_twin_junctions_matches_reference_bitwise(case):
             assert _bits(new) == _bits(solve(s, _split(j), times[-1], cfl, times))
     if any(err for _, err in refs):
         with pytest.raises(DomainError):
-            solve_batch(states, j, times[-1], cfl, times)
+            SemigroupHandle("cl", j, grid, cfl).evolve_cl(states, times)
         return
-    batch = solve_batch(states, j, times[-1], cfl, times)
-    for run, split_run, (ref, _) in zip(batch, solve_batch(states, _split(j), times[-1], cfl, times), refs):
+    batch = SemigroupHandle("cl", j, grid, cfl).evolve_cl(states, times)
+    split_batch = SemigroupHandle("cl", _split(j), grid, cfl).evolve_cl(states, times)
+    for run, split_run, (ref, _) in zip(batch, split_batch, refs):
         _assert_same_cells(run, ref)
         assert _bits(run) == _bits(split_run)
 
@@ -157,8 +157,9 @@ def test_hj_direct_solve_on_twin_junctions_matches_reference_bitwise(case):
         new = hj_direct_solve(u0, j, times[-1], cfl, times)
         _assert_same_nodes(new, ref)
         assert _bits(new) == _bits(hj_direct_solve(u0, _split(j), times[-1], cfl, times))
-    batch = hj_direct_solve_batch(states, j, times[-1], cfl, times)
-    for run, split_run, ref in zip(batch, hj_direct_solve_batch(states, _split(j), times[-1], cfl, times), refs):
+    batch = SemigroupHandle("hj", j, grid, cfl).evolve_hj(states, times)
+    split_batch = SemigroupHandle("hj", _split(j), grid, cfl).evolve_hj(states, times)
+    for run, split_run, ref in zip(batch, split_batch, refs):
         _assert_same_nodes(run, ref)
         assert _bits(run) == _bits(split_run)
 
@@ -214,7 +215,8 @@ def test_twin_junction_reports_the_left_half_first(sym_junction, left, right, me
     bad_right, bad_left = np.full(20, 0.4), np.full(20, 0.4)
     bad_right[14], bad_left[3] = right, left
     with pytest.raises(DomainError) as exc:
-        solve_batch([CellField(grid, bad_right), CellField(grid, bad_left)], sym_junction, 0.1)
+        batch = [CellField(grid, bad_right), CellField(grid, bad_left)]
+        SemigroupHandle("cl", sym_junction, grid).evolve_cl(batch, [0.1])
     assert str(exc.value) == message
 
 
@@ -280,7 +282,7 @@ def test_clamp_calls_do_not_grow_with_the_steps(flux_calls, sym_junction, readme
     for n in (1, 12):
         assert {
             "solve": clamps(solve, cells[0], j, n * dt),
-            "solve_batch": clamps(solve_batch, cells, j, n * dt),
+            "evolve_cl": clamps(SemigroupHandle("cl", j, grid).evolve_cl, cells, [n * dt]),
             "step": clamps(step, cells[0], j, dt),
             "hj_direct_solve": clamps(hj_direct_solve, u0, j, n * dt),
-        } == {"solve": 2, "solve_batch": 2, "step": 2, "hj_direct_solve": 0}
+        } == {"solve": 2, "evolve_cl": 2, "step": 2, "hj_direct_solve": 0}
