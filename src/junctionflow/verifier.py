@@ -17,8 +17,10 @@ quantities whose contract is "at least" are stored as violation depths.
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import select
 import subprocess
 import sys
 import tempfile
@@ -34,7 +36,7 @@ import numpy as np
 from . import cl_solver as cl
 from . import formats
 from . import hj_solver as hj
-from .errors import StepError
+from .errors import GridMismatchError, StepError
 from .flux_models import CanonicalDatum, DatumShape
 from .junction import JunctionModel, TracePair, germ_contains, germ_dissipative, junction_flux, riemann_traces
 
@@ -125,8 +127,9 @@ class SemigroupHandle:
     ``scheme`` names the states it evolves: ``"cl"`` densities (cells)
     or ``"hj"`` potentials (nodes).  ``evolve_cl``/``evolve_hj`` take a
     sequence of states on one grid at one time and return one snapshot
-    list per state.  A request (one grid, one start time, times the
-    single runs accept) is validated once, before any march or call.
+    list per state.  A request (states on the handle's ``grid``, one start
+    time, times the single runs accept) is validated once, before any
+    march or call; states on another grid are a ``GridMismatchError``.
     With an empty ``command`` the handle marches the states in-process,
     as the rows of one array in chunks of at most ``BATCH_ENTRIES``
     entries, each row bit for bit its single run; a chunk of one state
@@ -140,7 +143,14 @@ class SemigroupHandle:
     share of those CPUs for the thread pools it starts; the first
     failing ask in (state, time) order is raised.  An ask whose command
     runs past ``timeout`` seconds (it is killed), cannot be started,
-    exits non-zero or writes an unusable state is a ``StepError``.
+    exits non-zero or writes an unusable state is a ``StepError``.  A
+    command that is this interpreter on a Python source file
+    (``_runs_warm``) runs warm: each pool thread of an evolve starts one
+    worker interpreter on its first ask, and each ask is a fork of that
+    worker, past its start-up, that runs the script and exits as the one
+    call would have (stdin the audit's, stdout discarded, as a call's).
+    The evolve ends its workers before it returns or raises.  A worker
+    that ends or answers out of protocol is a ``StepError`` too.
 
     The fields are the handle's parameters, and it is frozen.  ``grid``
     is the ``cl_solver.Grid`` its states live on (by default the desk
@@ -187,6 +197,8 @@ class SemigroupHandle:
         if self.scheme != scheme:
             raise StepError(f"{self.scheme} handle does not evolve {noun}")
         grid, t0 = cl.batch_start(states)
+        if grid != self.grid:
+            raise GridMismatchError(f"the states live on {grid}, not on the handle's {self.grid}")
         t_end = max(snapshot_times, default=t0)
         if self.command:
             return self._evolve_external(states, grid, cl.check_march(self.cfl, t_end, snapshot_times, t0), write, read)
@@ -212,8 +224,18 @@ class SemigroupHandle:
         most one per ask); each call's environment sets every ``_THREAD_VARS``
         entry that this process's does not to the usable CPUs over the pool's
         threads, and takes its ``PYTHONPATH`` from ``_child_path``.
+
+        A command that ``_runs_warm`` accepts runs warm: each pool thread
+        starts one ``_WarmWorker`` (same environment, its log in the
+        temporary directory) on its first ask, and each of that thread's asks
+        is a fork of it, not a ``subprocess.run``.  An ask that times out, or
+        a worker that breaks, closes the worker; the thread's next ask starts
+        another.  Every other command is one ``subprocess.run`` per ask.  The
+        ``finally`` that shuts the pool down ends and reaps every worker, so
+        no process outlives the evolve and the handle keeps none.
         """
         # Imported here: concurrent.futures adds a few ms to every import of the verifier, and only audits use it.
+        import threading
         from concurrent.futures import ThreadPoolExecutor
 
         if not times:
@@ -223,18 +245,28 @@ class SemigroupHandle:
         env = {**dict.fromkeys(_THREAD_VARS, str(cpus // workers)), **os.environ}
         if self._child_path[0] is not None:
             env["PYTHONPATH"] = self._child_path[0]
+        warm, local, started = _runs_warm(self.command), threading.local(), []
+
+        def call(argv):
+            """(exit status, stderr) of one run of ``argv``."""
+            if not warm:
+                proc = subprocess.run(argv, capture_output=True, text=True, timeout=self.timeout, env=env)
+                return proc.returncode, proc.stderr
+            worker = getattr(local, "worker", None)
+            if worker is None or worker.closed:
+                worker = local.worker = _WarmWorker(self.command, env, td)
+                started.append(worker)
+            return worker.ask(argv[len(self.command) :], self.timeout)
 
         def ask(argv, dst, t):
             try:
-                proc = subprocess.run(argv, capture_output=True, text=True, timeout=self.timeout, env=env)
+                status, stderr = call(argv)
             except subprocess.TimeoutExpired as exc:
                 raise StepError(f"external semi-group {argv[0]} timed out after {self.timeout:g} s") from exc
             except OSError as exc:
                 raise StepError(f"external semi-group {argv[0]} could not be started: {exc}") from exc
-            if proc.returncode != 0:
-                raise StepError(
-                    f"external semi-group {argv[0]} exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
-                )
+            if status != 0:
+                raise StepError(f"external semi-group {argv[0]} exited {status}: {stderr.strip()[-500:]}")
             try:
                 state = read(dst, grid=grid)
             except (OSError, ValueError) as exc:
@@ -255,6 +287,8 @@ class SemigroupHandle:
                 answers = list(pool.map(ask, *zip(*asks)))
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
+                for worker in started:
+                    worker.close()
         return [answers[k : k + len(times)] for k in range(0, len(answers), len(times))]
 
     @cached_property
@@ -313,6 +347,127 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _runs_warm(command: Sequence[str]) -> bool:
+    """Whether ``command`` is this interpreter running a Python source file, on a platform that can fork it.
+
+    Its first word must resolve (``shutil.which``, then ``os.path.realpath``)
+    to ``sys.executable``'s file, and its second must be an existing file that
+    does not start with ``-``; neither a zip application nor compiled bytecode
+    (which ``python`` would also run) is source.  The platform needs
+    ``os.fork`` and ``os.waitid``.
+    """
+    import shutil
+    import zipimport
+    from importlib.util import MAGIC_NUMBER
+
+    if len(command) < 2 or not (hasattr(os, "fork") and hasattr(os, "waitid") and sys.executable):
+        return False
+    found, script = shutil.which(command[0]), command[1]
+    if found is None or os.path.realpath(found) != os.path.realpath(sys.executable):
+        return False
+    if script.startswith("-") or not os.path.isfile(script) or script.endswith(".pyc"):
+        return False
+    try:
+        zipimport.zipimporter(script)
+        return False
+    except zipimport.ZipImportError:
+        pass
+    try:
+        with open(script, "rb") as fh:
+            return fh.read(2) != MAGIC_NUMBER[:2]
+    except OSError:  # left to the fresh call, whose interpreter reports it
+        return False
+
+
+#: The program a ``_WarmWorker`` runs.
+_WORKER = Path(__file__).with_name("_worker.py")
+
+
+class _WarmWorker:
+    """A ``_worker.py`` interpreter that runs a Python command's script once per ask, each run a fork of it.
+
+    It is ``command[0]`` running ``_WORKER`` in ``env``, with the audit's
+    stdin, its stdout discarded, and its stderr (its asks' too) in a log in
+    ``directory``, which a failed ask reads from where the ask began.  The
+    protocol runs on two pipes of its own: one line per ask, one line (the
+    exit status) per reply.  An ask that runs past its timeout, or a worker
+    that ends or replies anything else, closes the worker.
+    """
+
+    def __init__(self, command: Sequence[str], env: dict, directory: str):
+        log, self.log = tempfile.mkstemp(prefix="worker-", suffix=".log", dir=directory)
+        asks, self._asks = os.pipe()
+        self._replies, replies = os.pipe()
+        try:
+            self.proc = subprocess.Popen(
+                [command[0], str(_WORKER), str(asks), str(replies), *command[1:]],
+                stdout=subprocess.DEVNULL,
+                stderr=log,
+                env=env,
+                pass_fds=(asks, replies),
+            )
+        except BaseException:
+            os.close(self._asks)
+            os.close(self._replies)
+            raise
+        finally:
+            for fd in (log, asks, replies):
+                os.close(fd)
+        self._poll = select.poll()
+        self._poll.register(self._replies, select.POLLIN)
+        self._start = 0  # the log's size when the last ask was sent
+        self._in_flight = False
+        self.closed = False
+
+    def ask(self, args: Sequence[str], timeout: float) -> tuple[int, str]:
+        """(exit status, stderr) of one run of the script with ``args`` appended, killed after ``timeout`` s."""
+        deadline = time.monotonic() + timeout
+        self._start = os.path.getsize(self.log)
+        try:
+            self._in_flight = True
+            try:
+                os.write(self._asks, b" ".join(os.fsencode(a).hex().encode() for a in args) + b"\n")
+            except BrokenPipeError:  # the worker has ended: the read below finds the end of its replies
+                pass
+            reply = b""
+            while b"\n" not in reply:
+                left = deadline - time.monotonic()
+                if left <= 0 or not self._poll.poll(left * 1000.0):
+                    raise subprocess.TimeoutExpired(self.proc.args, timeout)
+                chunk = os.read(self._replies, 4096)
+                if not chunk:
+                    raise self._broken("ended")
+                reply += chunk
+            if not reply[:-1].lstrip(b"-").isdigit() or not reply.endswith(b"\n"):
+                raise self._broken(f"replied {reply!r}")
+            self._in_flight = False
+        except BaseException:
+            self.close()
+            raise
+        status = int(reply)
+        return status, (self._stderr() if status else "")
+
+    def _stderr(self) -> str:
+        """What the log gained since the last ask was sent, decoded as ``subprocess.run(text=True)`` decodes."""
+        with open(self.log, "rb") as fh:
+            fh.seek(self._start)
+            return io.TextIOWrapper(io.BytesIO(fh.read())).read()
+
+    def _broken(self, what: str) -> StepError:
+        return StepError(f"external semi-group {self.proc.args[0]}: its worker {what}: {self._stderr().strip()[-500:]}")
+
+    def close(self) -> None:
+        """Kill the ask in flight, if any, end the worker and reap it."""
+        if self.closed:
+            return
+        self.closed = True
+        if self._in_flight:
+            self.proc.terminate()  # the worker kills its ask; a worker still starting up ends
+        os.close(self._asks)
+        os.close(self._replies)
+        self.proc.wait()
 
 
 # -- seeded data generators -------------------------------------------------

@@ -65,7 +65,7 @@ def test_evolve_cl_matches_solve_per_state(case):
         CellField(grid, _densities(rng, j, grid), 0.0, *rng.choice([0.0, 0.25], 2)) for _ in range(size)
     ]
     singles = [_outcome(solve, s, j, times[-1], cfl, times) for s in states]
-    handle = SemigroupHandle("cl", model=j, cfl=cfl)
+    handle = SemigroupHandle("cl", model=j, grid=grid, cfl=cfl)
     if any(err for _, err in singles):
         with pytest.raises(DomainError):
             handle.evolve_cl(states, times)
@@ -94,7 +94,7 @@ def test_evolve_hj_matches_hj_direct_solve_per_state(case):
         slopes[grid.n_left :] = np.clip(slopes[grid.n_left :], 0.0, j.right.rmax)
         states.append(NodeField(grid, np.cumsum(np.concatenate([[rng.uniform(-1.0, 1.0)], grid.dx * slopes]))))
     singles = [_outcome(hj_direct_solve, u, j, times[-1], cfl, times) for u in states]
-    handle = SemigroupHandle("hj", model=j, cfl=cfl)
+    handle = SemigroupHandle("hj", model=j, grid=grid, cfl=cfl)
     if any(err for _, err in singles):
         with pytest.raises(DomainError):
             handle.evolve_hj(states, times)
@@ -118,7 +118,7 @@ def test_bad_entry_in_a_later_state_is_rejected(sym_junction, bad, where):
     rho = [CellField(grid, np.full(20, 0.4)) for _ in range(3)]
     rho[2].values[where] = bad
     with pytest.raises(DomainError):
-        SemigroupHandle("cl", model=sym_junction).evolve_cl(rho, [0.1])
+        SemigroupHandle("cl", model=sym_junction, grid=grid).evolve_cl(rho, [0.1])
     # potentials: a non-finite node, or a slope outside [0, rmax]
     good = 0.4 * grid.node_coords()
     if math.isfinite(bad):
@@ -130,13 +130,13 @@ def test_bad_entry_in_a_later_state_is_rejected(sym_junction, bad, where):
         last[where] = bad
     u = [NodeField(grid, good), NodeField(grid, good), NodeField(grid, last)]
     with pytest.raises(DomainError):
-        SemigroupHandle("hj", model=sym_junction).evolve_hj(u, [0.1])
+        SemigroupHandle("hj", model=sym_junction, grid=grid).evolve_hj(u, [0.1])
 
 
 def test_batch_needs_one_grid_and_one_time(sym_junction):
     a, b = Grid(n_left=10, n_right=10, dx=0.1), Grid(n_left=10, n_right=11, dx=0.1)
-    h_cl = SemigroupHandle("cl", model=sym_junction)
-    h_hj = SemigroupHandle("hj", model=sym_junction)
+    h_cl = SemigroupHandle("cl", model=sym_junction, grid=a)
+    h_hj = SemigroupHandle("hj", model=sym_junction, grid=a)
     with pytest.raises(GridMismatchError, match="different grids"):
         h_cl.evolve_cl([CellField(a, np.full(20, 0.4)), CellField(b, np.full(21, 0.4))], [0.1])
     with pytest.raises(StepError, match="different times"):
@@ -157,7 +157,7 @@ def test_large_batches_march_in_chunks(sym_junction, monkeypatch):
     monkeypatch.setattr(verifier, "BATCH_ENTRIES", 2 * grid.n_cells)
     rng = np.random.default_rng(3)
     states = [CellField(grid, _densities(rng, sym_junction, grid)) for _ in range(5)]
-    runs = SemigroupHandle("cl", model=sym_junction).evolve_cl(states, [0.2, 0.4])
+    runs = SemigroupHandle("cl", model=sym_junction, grid=grid).evolve_cl(states, [0.2, 0.4])
     assert len(runs) == 5
     for state, run in zip(states, runs):
         for a, b in zip(run, solve(state, sym_junction, 0.4, snapshot_times=[0.2, 0.4])):
@@ -171,17 +171,20 @@ def test_large_batches_march_in_chunks(sym_junction, monkeypatch):
 
 # -- the times of a request are checked before any march or call ----------------------
 
+# The grid of every state that _states makes and of every handle that _handle makes by default.
+GRID = Grid(n_left=10, n_right=10, dx=0.1)
 
-def _handle(kind, scheme, j, log):
+
+def _handle(kind, scheme, j, log, grid=GRID):
     """The in-process handle, or an external one whose command copies its input and logs each call's time."""
-    handle = SemigroupHandle(scheme, model=j)
+    handle = SemigroupHandle(scheme, model=j, grid=grid)
     if kind == "internal":
         return handle
     return dataclasses.replace(handle, command=("sh", "-c", 'echo "$2" >> "$0" && cp "$1" "$3"', str(log)))
 
 
 def _states(scheme, time=0.0):
-    grid = Grid(n_left=10, n_right=10, dx=0.1)
+    grid = GRID
     if scheme == "cl":
         return [CellField(grid, np.full(20, v), time) for v in (0.2, 0.4)]
     return [NodeField(grid, v * grid.node_coords(), time) for v in (0.2, 0.4)]
@@ -221,4 +224,15 @@ def test_a_bad_request_is_refused_before_any_call(sym_junction, tmp_path, kind, 
     with pytest.raises(StepError) as got:
         _run(_handle(kind, scheme, sym_junction, log), states, times)
     assert str(got.value) == str(expected.value)
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("scheme", ["cl", "hj"])
+@pytest.mark.parametrize("kind", ["internal", "external"])
+def test_a_batch_off_the_handles_grid_is_refused_before_any_call(sym_junction, tmp_path, kind, scheme):
+    """A handle plans and counts its steps on its own grid, so it marches no state on another."""
+    log = tmp_path / "calls.log"
+    handle = _handle(kind, scheme, sym_junction, log, grid=Grid.from_domain(-2.0, 2.0, 800))
+    with pytest.raises(GridMismatchError, match=r"^the states live on Grid\(n_left=10, .* not on the handle's Grid\("):
+        _run(handle, _states(scheme), [0.5])
     assert not log.exists()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -54,6 +55,21 @@ from junctionflow.verifier import (
 from conftest import handles
 
 COARSE = Grid.from_domain(-2.0, 2.0, 256)
+
+# Two forms of one Python command: this interpreter on a script runs warm (each ask a fork
+# of a worker), and the same command through env is one subprocess.run per ask.
+WARM = (sys.executable,)
+ONE_SHOT = ("env", sys.executable)
+
+
+def one_shot_twin(test):
+    """``test``, which runs ``(*python, script, ...)`` with ``python=WARM``, run on the one-shot form."""
+
+    @functools.wraps(test)
+    def twin(**fixtures):
+        test(**fixtures, python=ONE_SHOT)
+
+    return twin
 
 
 @pytest.fixture(scope="module")
@@ -250,15 +266,18 @@ def test_battery_records_carry_wall_time(battery_report):
     assert sum(rec.wall_s for rec in battery_report.records) > 0.0
 
 
-def test_external_handle_times_out(tmp_path, sym_junction):
+def test_external_handle_times_out(tmp_path, sym_junction, python=WARM):
     script = tmp_path / "hang.py"
     script.write_text("import time; time.sleep(60)\n")
-    external = SemigroupHandle("cl", sym_junction, COARSE, command=(sys.executable, str(script)), timeout=0.5)
+    external = SemigroupHandle("cl", sym_junction, COARSE, command=(*python, str(script)), timeout=0.5)
     with pytest.raises(StepError, match="timed out after 0.5 s"):
         external.evolve_cl([riemann_field(external.grid, 0.5, 0.5)], [0.1])
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="external timeout"):
             SemigroupHandle("cl", sym_junction, command=("true",), timeout=bad)
+
+
+test_external_handle_times_out_one_shot = one_shot_twin(test_external_handle_times_out)
 
 
 # -- limiter identification -----------------------------------------------------
@@ -445,7 +464,9 @@ FLAKY_EXTERNAL = textwrap.dedent(
 )
 
 
-def test_external_batch_failure_reports_first_call_and_leaves_no_child(tmp_path, sym_junction, monkeypatch):
+def test_external_batch_failure_reports_first_call_and_leaves_no_child(
+    tmp_path, sym_junction, monkeypatch, python=WARM
+):
     """A later call that fails sooner is not the one reported; a sleeping sibling is killed, the rest cancelled."""
     # Two workers on every machine: a larger pool would start all eight calls before the first one fails.
     monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
@@ -455,7 +476,7 @@ def test_external_batch_failure_reports_first_call_and_leaves_no_child(tmp_path,
     pids.mkdir()
     timeout = 1.0
     external = SemigroupHandle(
-        "cl", sym_junction, COARSE, command=(sys.executable, str(script), str(pids)), timeout=timeout
+        "cl", sym_junction, COARSE, command=(*python, str(script), str(pids)), timeout=timeout
     )
     states = [riemann_field(external.grid, rho, rho) for rho in (0.5, 0.25, 0.75, 0.125)]
     threads = threading.active_count()
@@ -469,6 +490,11 @@ def test_external_batch_failure_reports_first_call_and_leaves_no_child(tmp_path,
     for pid in started:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+test_external_batch_failure_reports_first_call_and_leaves_no_child_one_shot = one_shot_twin(
+    test_external_batch_failure_reports_first_call_and_leaves_no_child
+)
 
 
 # Records its pid in the directory argv[1]; at t = 0.1 it slowly writes an empty state, at t = 0.2 it exits 1 at once.
@@ -485,7 +511,7 @@ MIXED_FAILURES_EXTERNAL = textwrap.dedent(
 )
 
 
-def test_external_failure_order_holds_across_failure_kinds(tmp_path, sym_junction, monkeypatch):
+def test_external_failure_order_holds_across_failure_kinds(tmp_path, sym_junction, monkeypatch, python=WARM):
     """An unusable state from the earlier ask is reported over the later ask's sooner non-zero exit."""
     monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)  # both asks run at once
     monkeypatch.delenv("PYTHONPATH", raising=False)  # no compiled copy of the package in the temp directory
@@ -496,7 +522,7 @@ def test_external_failure_order_holds_across_failure_kinds(tmp_path, sym_junctio
     script.write_text(MIXED_FAILURES_EXTERNAL)
     pids = tmp_path / "pids"
     pids.mkdir()
-    external = SemigroupHandle("cl", sym_junction, COARSE, command=(sys.executable, str(script), str(pids)))
+    external = SemigroupHandle("cl", sym_junction, COARSE, command=(*python, str(script), str(pids)))
     threads = threading.active_count()
     with pytest.raises(StepError, match="wrote an unusable state: "):
         external.evolve_cl([riemann_field(external.grid, 0.5, 0.5)], [0.1, 0.2])
@@ -507,6 +533,182 @@ def test_external_failure_order_holds_across_failure_kinds(tmp_path, sym_junctio
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
     assert list(temp.iterdir()) == []
+
+
+test_external_failure_order_holds_across_failure_kinds_one_shot = one_shot_twin(
+    test_external_failure_order_holds_across_failure_kinds
+)
+
+
+# Records what it was started with in the file argv[1], prints to stdout, then ends as argv[2] says:
+# copying its input (so that the ask succeeds) or failing.
+FIDELITY_EXTERNAL = textwrap.dedent(
+    """
+    import atexit, json, os, shutil, sys, threading, time
+    log, mode, src, t, dst = sys.argv[1:]
+    try:
+        stdin = list(os.fstat(0)[1:3])
+    except OSError:
+        stdin = None
+    record = {
+        "argv": [arg.replace(os.path.dirname(src), "TEMP") for arg in sys.argv],
+        "path0": sys.path[0],
+        "name": __name__,
+        "file": __file__,
+        "cwd": os.getcwd(),
+        "stdin": stdin,
+        "pids": [os.getpid(), os.getppid()],
+    }
+    with open(log, "w") as fh:
+        json.dump(record, fh)
+    print("0\\n" * 10000)  # a reply's shape, on stdout
+    if mode == "exit-3":
+        sys.exit(3)
+    if mode == "exit-message":
+        sys.exit("exited with a message")
+    if mode == "raise":
+        raise ValueError("raised")
+    if mode == "os-exit-5":
+        os._exit(5)
+    if mode == "atexit":
+        atexit.register(lambda: open(log + ".atexit", "w").write("ran"))
+    if mode == "thread":
+        threading.Thread(target=lambda: (time.sleep(0.2), shutil.copyfile(src, dst))).start()
+    else:
+        shutil.copyfile(src, dst)
+    """
+)
+FIDELITY_MODES = ["return", "exit-3", "exit-message", "raise", "os-exit-5", "atexit", "thread", "syntax-error"]
+
+
+@pytest.mark.parametrize("mode", FIDELITY_MODES)
+def test_a_warm_ask_runs_its_script_as_a_fresh_interpreter_does(tmp_path, sym_junction, monkeypatch, mode):
+    """Same records, answers, exit statuses and error texts on both forms; no process of either is left."""
+    monkeypatch.chdir(tmp_path)
+    script = "fidelity.py"  # relative, so __file__ and sys.path[0] are derived as python derives them
+    Path(script).write_text("def (\n" if mode == "syntax-error" else FIDELITY_EXTERNAL)
+    log = tmp_path / "record.json"
+    try:
+        stdin = list(os.fstat(0)[1:3])
+    except OSError:
+        stdin = None
+    outcomes = []
+    for python in (WARM, ONE_SHOT):
+        command = (*python, script, str(log), mode)
+        assert verifier._runs_warm(command) == (python == WARM)
+        external = SemigroupHandle("cl", sym_junction, COARSE, command=command)
+        state = riemann_field(external.grid, 0.5, 0.25)
+        answer = error = None
+        try:
+            answer = external.evolve_cl([state], [0.1])[0][0].values.tolist()
+        except StepError as exc:
+            error = str(exc).replace(f"external semi-group {command[0]} ", "external semi-group CMD ", 1)
+        record = json.loads(log.read_text()) if log.exists() else None
+        if record:
+            pid, parent = record.pop("pids")
+            assert (parent == os.getpid()) == (python == ONE_SHOT)  # a warm ask's parent is its worker
+            for gone in {pid, parent} - {os.getpid()}:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(gone, 0)
+        ran_atexit = Path(f"{log}.atexit").exists()
+        outcomes.append((answer, error, record, ran_atexit))
+        for made in (log, Path(f"{log}.atexit")):
+            made.unlink(missing_ok=True)
+    assert outcomes[0] == outcomes[1]
+    answer, error, record, ran_atexit = outcomes[0]
+    assert ran_atexit == (mode == "atexit")
+    if mode == "syntax-error":
+        assert record is None and "SyntaxError: invalid syntax" in error and "Traceback" not in error
+        return
+    assert record == {
+        "argv": [script, str(log), mode, "TEMP/state_in_0.csv", "0.1", "TEMP/state_out_0_0.csv"],
+        "path0": str(tmp_path.resolve()),
+        "name": "__main__",
+        "file": str(tmp_path / script),
+        "cwd": str(tmp_path),
+        "stdin": stdin,
+    }
+    assert error == {
+        "return": None,
+        "exit-3": "external semi-group CMD exited 3: ",
+        "exit-message": "external semi-group CMD exited 1: exited with a message",
+        "os-exit-5": "external semi-group CMD exited 5: ",
+        "atexit": None,
+        "thread": None,
+    }.get(mode, error)
+    if mode == "raise":
+        assert error.startswith("external semi-group CMD exited 1: Traceback (most recent call last):\n")
+        assert f'File "{tmp_path / script}", line' in error and error.endswith("ValueError: raised")
+        assert "_worker" not in error
+    assert answer == (None if error else riemann_field(COARSE, 0.5, 0.25).values.tolist())
+
+
+def test_a_warm_ask_past_its_timeout_leaves_no_process(tmp_path, sym_junction):
+    """The ask and its worker are gone once the timeout's StepError is raised."""
+    script = tmp_path / "hang.py"
+    pids = tmp_path / "pids"
+    script.write_text(
+        f"import os, time\nopen({str(pids)!r}, 'w').write(f'{{os.getpid()}} {{os.getppid()}}')\ntime.sleep(60)\n"
+    )
+    external = SemigroupHandle("cl", sym_junction, COARSE, command=(*WARM, str(script)), timeout=2.0)
+    with pytest.raises(StepError, match="timed out after 2 s"):
+        external.evolve_cl([riemann_field(external.grid, 0.5, 0.5)], [0.1])
+    for pid in map(int, pids.read_text().split()):
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+@pytest.mark.parametrize(
+    "worker, broken",
+    [
+        ("import sys; sys.stderr.write('cannot serve')", "its worker ended: cannot serve"),
+        ("import os, sys; os.write(int(sys.argv[2]), b'ok\\n')", r"its worker replied b'ok\n': "),
+        ("import os, sys; os.write(int(sys.argv[2]), b'0\\n1')", r"its worker replied b'0\n1': "),
+    ],
+    ids=["exits", "malformed", "two-replies"],
+)
+def test_a_broken_warm_worker_is_a_step_error(tmp_path, sym_junction, monkeypatch, worker, broken):
+    program = tmp_path / "worker.py"
+    program.write_text(worker)
+    monkeypatch.setattr(verifier, "_WORKER", program)
+    script = tmp_path / "copy.py"
+    script.write_text("import shutil, sys; shutil.copyfile(sys.argv[1], sys.argv[3])\n")
+    external = SemigroupHandle("cl", sym_junction, COARSE, command=(*WARM, str(script)), timeout=5.0)
+    threads = threading.active_count()
+    with pytest.raises(StepError) as exc:
+        external.evolve_cl([riemann_field(external.grid, 0.5, 0.5)], [0.1])
+    assert str(exc.value) == f"external semi-group {sys.executable}: {broken}"
+    assert threading.active_count() == threads
+
+
+def test_only_this_interpreter_on_a_python_source_file_runs_warm(tmp_path, monkeypatch):
+    import py_compile
+    import zipfile
+
+    monkeypatch.chdir(tmp_path)
+    Path("solver.py").write_text("pass\n")
+    py_compile.compile("solver.py", cfile="solver.pyc", doraise=True)
+    Path("solver-bytecode").write_bytes(Path("solver.pyc").read_bytes())
+    with zipfile.ZipFile("app.pyz", "w") as zf:
+        zf.writestr("__main__.py", "pass\n")
+    Path("-solver.py").write_text("pass\n")
+    Path("package").mkdir()
+    Path("python-link").symlink_to(sys.executable)
+    warm = [(sys.executable, "solver.py"), ("./python-link", "solver.py", "arg"), (*WARM, str(tmp_path / "solver.py"))]
+    one_shot = [
+        (sys.executable,),
+        (*ONE_SHOT, "solver.py"),
+        ("sh", "solver.py"),
+        (sys.executable, "-c", "pass"),
+        (sys.executable, "-solver.py"),
+        (sys.executable, "missing.py"),
+        (sys.executable, "package"),
+        (sys.executable, "solver.pyc"),
+        (sys.executable, "solver-bytecode"),
+        (sys.executable, "app.pyz"),
+        ("no-such-python", "solver.py"),
+    ]
+    assert [verifier._runs_warm(c) for c in warm + one_shot] == [True] * len(warm) + [False] * len(one_shot)
 
 
 @pytest.mark.parametrize("command", ["missing", "not-executable"])
@@ -548,7 +750,7 @@ ENV_EXTERNAL = textwrap.dedent(
 
 
 def _child_environments(
-    tmp_path, junction, monkeypatch, cpus, n_states, n_times, source: str = ENV_EXTERNAL
+    tmp_path, junction, monkeypatch, cpus, n_states, n_times, source: str = ENV_EXTERNAL, python=WARM
 ) -> list[dict]:
     """The environment of each call of one batch of n_states x n_times calls on `cpus` usable CPUs."""
     monkeypatch.setattr(verifier, "_usable_cpus", lambda: cpus)
@@ -556,7 +758,7 @@ def _child_environments(
     script.write_text(source)
     log = tmp_path / "log"
     log.mkdir()
-    external = SemigroupHandle("cl", junction, COARSE, command=(sys.executable, str(script), str(log)))
+    external = SemigroupHandle("cl", junction, COARSE, command=(*python, str(script), str(log)))
     states = [riemann_field(external.grid, 0.125 * (k + 1), 0.5) for k in range(n_states)]
     external.evolve_cl(states, [0.1 * (k + 1) for k in range(n_times)])
     envs = [json.loads(f.read_text()) for f in log.iterdir()]
@@ -568,24 +770,36 @@ def _child_environments(
     "cpus, n_states, n_times, threads",
     [(8, 2, 1, "4"), (8, 1, 3, "2"), (3, 1, 2, "1"), (2, 4, 2, "1"), (1, 2, 2, "1")],
 )
-def test_external_calls_get_their_share_of_the_cpus(tmp_path, sym_junction, monkeypatch, cpus, n_states, n_times, threads):
+def test_external_calls_get_their_share_of_the_cpus(
+    tmp_path, sym_junction, monkeypatch, cpus, n_states, n_times, threads, python=WARM
+):
     """Each call's thread pools get the usable CPUs over the calls that run at once."""
     for name in THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
-    for env in _child_environments(tmp_path, sym_junction, monkeypatch, cpus, n_states, n_times):
+    for env in _child_environments(tmp_path, sym_junction, monkeypatch, cpus, n_states, n_times, python=python):
         assert {name: env.get(name) for name in THREAD_VARS} == dict.fromkeys(THREAD_VARS, threads)
 
 
-def test_external_calls_keep_the_auditing_environment(tmp_path, sym_junction, monkeypatch):
+test_external_calls_get_their_share_of_the_cpus_one_shot = one_shot_twin(
+    test_external_calls_get_their_share_of_the_cpus
+)
+
+
+def test_external_calls_keep_the_auditing_environment(tmp_path, sym_junction, monkeypatch, python=WARM):
     """A thread-pool variable the audit's environment sets reaches the call unchanged, and so does any other."""
     for name in THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     monkeypatch.setenv("JUNCTIONFLOW_TEST_INHERITED", "kept")
-    for env in _child_environments(tmp_path, sym_junction, monkeypatch, 8, 2, 1):
+    for env in _child_environments(tmp_path, sym_junction, monkeypatch, 8, 2, 1, python=python):
         assert env["OMP_NUM_THREADS"] == "3"
         assert {name: env.get(name) for name in THREAD_VARS[1:]} == dict.fromkeys(THREAD_VARS[1:], "4")
         assert env["JUNCTIONFLOW_TEST_INHERITED"] == "kept"
+
+
+test_external_calls_keep_the_auditing_environment_one_shot = one_shot_twin(
+    test_external_calls_keep_the_auditing_environment
+)
 
 
 # The directory whose junctionflow the tests import, and its package directory.
@@ -623,7 +837,7 @@ def bytecode_environment(monkeypatch):
 
 
 def test_external_calls_import_a_compiled_copy_of_the_package(
-    tmp_path, sym_junction, monkeypatch, bytecode_environment
+    tmp_path, sym_junction, monkeypatch, bytecode_environment, python=WARM
 ):
     """Put right before the user's entry for the package, among the user's other entries; the package gains no file."""
     before, after = tmp_path / "before", tmp_path / "after"
@@ -631,7 +845,7 @@ def test_external_calls_import_a_compiled_copy_of_the_package(
     monkeypatch.setenv("PYTHONPATH", user_path)
     listing = _package_listing()
     sources = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in PACKAGE.glob("*.py")}
-    envs = _child_environments(tmp_path, sym_junction, monkeypatch, 2, 1, 2, source=IMPORT_EXTERNAL)
+    envs = _child_environments(tmp_path, sym_junction, monkeypatch, 2, 1, 2, source=IMPORT_EXTERNAL, python=python)
     assert _package_listing() == listing
     paths = {env["PYTHONPATH"] for env in envs}
     assert len(paths) == 1
@@ -645,6 +859,11 @@ def test_external_calls_import_a_compiled_copy_of_the_package(
         assert env["PYTHONDONTWRITEBYTECODE"] == "1"
         assert env["modules"] == sources
     assert not copy.exists()  # removed with the handle
+
+
+test_external_calls_import_a_compiled_copy_of_the_package_one_shot = one_shot_twin(
+    test_external_calls_import_a_compiled_copy_of_the_package
+)
 
 
 def test_one_handle_compiles_the_package_once(tmp_path, sym_junction, monkeypatch, bytecode_environment):
@@ -673,7 +892,7 @@ def test_one_handle_compiles_the_package_once(tmp_path, sym_junction, monkeypatc
 
 @pytest.mark.parametrize("case", ["not-on-path", "earlier-entry-has-another", "pycache-prefix", "unset"])
 def test_external_calls_keep_pythonpath_where_a_copy_would_not_stand_in(
-    tmp_path, sym_junction, monkeypatch, bytecode_environment, case
+    tmp_path, sym_junction, monkeypatch, bytecode_environment, case, python=WARM
 ):
     """The root not on PYTHONPATH, another junctionflow found first, a pycache prefix set, or no PYTHONPATH at all."""
     other = tmp_path / "other"
@@ -691,8 +910,13 @@ def test_external_calls_keep_pythonpath_where_a_copy_would_not_stand_in(
         monkeypatch.setenv("PYTHONPATH", user_path)
     if case == "pycache-prefix":
         monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
-    for env in _child_environments(tmp_path, sym_junction, monkeypatch, 2, 1, 2):
+    for env in _child_environments(tmp_path, sym_junction, monkeypatch, 2, 1, 2, python=python):
         assert env.get("PYTHONPATH") == user_path
+
+
+test_external_calls_keep_pythonpath_where_a_copy_would_not_stand_in_one_shot = one_shot_twin(
+    test_external_calls_keep_pythonpath_where_a_copy_would_not_stand_in
+)
 
 
 # Appends one line "t sha256-of-input" per call to the file argv[1]; exits 1 if argv[2] is
