@@ -17,16 +17,18 @@ quantities whose contract is "at least" are stored as violation depths.
 
 from __future__ import annotations
 
+import atexit
 import io
 import math
 import os
 import select
+import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress
 from pathlib import Path
 from typing import Sequence
@@ -156,11 +158,11 @@ class SemigroupHandle:
     is the ``cl_solver.Grid`` its states live on (by default the desk
     grid, 800 cells on [-2, 2]); ``Grid`` owns the grid rule, and a
     refined handle is ``dataclasses.replace(h, grid=...)``.  What it
-    keeps is derived from the fields on first use: an external handle's
-    ``_child_path`` and an ``"hj"`` handle's ``_probes``, the runs of the
-    canonical wedge probes (``WEDGE_PROBES``), marched in one batch by the
-    first potential check that reads them.  ``dataclasses.replace`` makes
-    a new handle that keeps nothing yet.
+    keeps is derived from the fields on first use: an ``"hj"`` handle's
+    ``_probes``, the runs of the canonical wedge probes (``WEDGE_PROBES``),
+    marched in one batch by the first potential check that reads them;
+    ``dataclasses.replace`` makes a new handle that keeps nothing yet.  The
+    package copy that external calls import is the process's.
     """
 
     scheme: str
@@ -223,7 +225,7 @@ class SemigroupHandle:
         their own timeout first.  The pool has one thread per usable CPU (at
         most one per ask); each call's environment sets every ``_THREAD_VARS``
         entry that this process's does not to the usable CPUs over the pool's
-        threads, and takes its ``PYTHONPATH`` from ``_child_path``.
+        threads, and takes its ``PYTHONPATH`` from ``_child_pythonpath``.
 
         A command that ``_runs_warm`` accepts runs warm: each pool thread
         starts one ``_WarmWorker`` (same environment, its log in the
@@ -232,7 +234,11 @@ class SemigroupHandle:
         a worker that breaks, closes the worker; the thread's next ask starts
         another.  Every other command is one ``subprocess.run`` per ask.  The
         ``finally`` that shuts the pool down ends and reaps every worker, so
-        no process outlives the evolve and the handle keeps none.
+        no process outlives the evolve and the handle keeps none.  An
+        interrupt (a ``BaseException`` that is not an ``Exception``) first
+        cancels the queued asks and sends every started worker SIGTERM, which
+        kills its ask in flight; a one-shot ask still runs to its end or its
+        timeout.
         """
         # Imported here: concurrent.futures adds a few ms to every import of the verifier, and only audits use it.
         import threading
@@ -243,8 +249,8 @@ class SemigroupHandle:
         cpus = _usable_cpus()
         workers = min(cpus, len(states) * len(times))
         env = {**dict.fromkeys(_THREAD_VARS, str(cpus // workers)), **os.environ}
-        if self._child_path[0] is not None:
-            env["PYTHONPATH"] = self._child_path[0]
+        if path := _child_pythonpath(env.get("PYTHONPATH"), env.get("PYTHONPYCACHEPREFIX"), sys.pycache_prefix):
+            env["PYTHONPATH"] = path
         warm, local, started = _runs_warm(self.command), threading.local(), []
 
         def call(argv):
@@ -285,49 +291,17 @@ class SemigroupHandle:
             pool = ThreadPoolExecutor(max_workers=workers)
             try:
                 answers = list(pool.map(ask, *zip(*asks)))
+            except BaseException as exc:
+                if not isinstance(exc, Exception):  # an interrupt: stop the asks in flight, not wait them out
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    for worker in started:
+                        worker.proc.terminate()  # the worker kills its ask
+                raise
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
                 for worker in started:
                     worker.close()
         return [answers[k : k + len(times)] for k in range(0, len(answers), len(times))]
-
-    @cached_property
-    def _child_path(self) -> tuple:
-        """(the ``PYTHONPATH`` of the command's calls, the package copy it names), made once per handle.
-
-        Under ``PYTHONDONTWRITEBYTECODE`` a child compiles the package anew at
-        every import.  If the first ``PYTHONPATH`` entry that holds a
-        ``junctionflow`` holds this one, and no ``PYTHONPYCACHEPREFIX`` moves
-        the bytecode lookups, the package (less its ``__pycache__``) is copied
-        into a temporary directory, compiled there, and that directory goes in
-        just before the entry: a child then imports the same source from the
-        same place in its path, compiled.  The ``TemporaryDirectory``'s
-        finalizer removes the copy.  (``None``, ``None``) passes
-        ``PYTHONPATH`` on as it is.
-        """
-        from importlib.machinery import PathFinder
-
-        path = os.environ.get("PYTHONPATH")
-        if not path or os.environ.get("PYTHONPYCACHEPREFIX") or sys.pycache_prefix:
-            return None, None
-        package = Path(__file__).resolve().parent
-        entries = path.split(os.pathsep)
-        for k, entry in enumerate(entries):
-            spec = PathFinder.find_spec(__package__, [entry])
-            if spec is None:
-                continue
-            if spec.origin is None or Path(spec.origin).resolve().parent != package:
-                return None, None  # the children import another junctionflow
-            import py_compile
-            import shutil
-
-            copies = tempfile.TemporaryDirectory(prefix="junctionflow-pyc-")
-            copy = Path(copies.name) / __package__
-            shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
-            for source in copy.rglob("*.py"):
-                py_compile.compile(str(source), doraise=True)
-            return os.pathsep.join([*entries[:k], copies.name, *entries[k:]]), copies
-        return None, None
 
     @cached_property
     def _probes(self) -> list:
@@ -349,6 +323,43 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@cache
+def _child_pythonpath(path: str | None, prefix: str | None, pycache_prefix: str | None) -> str | None:
+    """The ``PYTHONPATH`` of external calls, made once per process for each set of arguments.
+
+    Under ``PYTHONDONTWRITEBYTECODE`` a child compiles the package anew at
+    every import.  If the first ``path`` entry that holds a ``junctionflow``
+    holds this one, and no pycache prefix moves the bytecode lookups, the
+    package (less its ``__pycache__``) is copied into a temporary directory,
+    compiled there, and that directory goes in just before the entry: a
+    child then imports the same source from the same place in its path,
+    compiled.  The process that made the copy, not a forked child of it,
+    removes it at exit.  ``None`` passes ``PYTHONPATH`` on as it is.
+    """
+    from importlib.machinery import PathFinder
+
+    if not path or prefix or pycache_prefix:
+        return None
+    package = Path(__file__).resolve().parent
+    entries = path.split(os.pathsep)
+    for k, entry in enumerate(entries):
+        spec = PathFinder.find_spec(__package__, [entry])
+        if spec is None:
+            continue
+        if spec.origin is None or Path(spec.origin).resolve().parent != package:
+            return None  # the children import another junctionflow
+        import py_compile
+
+        copies, maker = tempfile.mkdtemp(prefix="junctionflow-pyc-"), os.getpid()
+        atexit.register(lambda: os.getpid() == maker and shutil.rmtree(copies, ignore_errors=True))
+        copy = Path(copies) / __package__
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        for source in copy.rglob("*.py"):
+            py_compile.compile(str(source), doraise=True)
+        return os.pathsep.join([*entries[:k], copies, *entries[k:]])
+    return None
+
+
 def _runs_warm(command: Sequence[str]) -> bool:
     """Whether ``command`` is this interpreter running a Python source file, on a platform that can fork it.
 
@@ -358,7 +369,6 @@ def _runs_warm(command: Sequence[str]) -> bool:
     (which ``python`` would also run) is source.  The platform needs
     ``os.fork`` and ``os.waitid``.
     """
-    import shutil
     import zipimport
     from importlib.util import MAGIC_NUMBER
 

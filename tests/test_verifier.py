@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import textwrap
@@ -658,6 +659,53 @@ def test_a_warm_ask_past_its_timeout_leaves_no_process(tmp_path, sym_junction):
             os.kill(pid, 0)
 
 
+# Sends its own process SIGINT 1 s into a warm batch of two 60 s sleepers with an 8 s timeout; each
+# sleeper records its pid and its worker's in the directory argv[1].  Prints the seconds the batch ran.
+INTERRUPTED_AUDIT = textwrap.dedent(
+    """
+    import os, signal, sys, threading, time
+    from junctionflow import Grid, JunctionModel, QuadraticFlux, SemigroupHandle, riemann_field, verifier
+
+    verifier._usable_cpus = lambda: 2
+    pids, sleeper = sys.argv[1:]
+    model = JunctionModel(QuadraticFlux(1.0, 0.25), QuadraticFlux(1.0, 0.25), 0.1875)
+    command = (sys.executable, sleeper, pids)
+    external = SemigroupHandle("cl", model, Grid.from_domain(-2.0, 2.0, 16), command=command, timeout=8.0)
+    states = [riemann_field(external.grid, rho, rho) for rho in (0.5, 0.25)]
+    threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGINT)).start()
+    t0 = time.perf_counter()
+    try:
+        external.evolve_cl(states, [0.1])
+    except KeyboardInterrupt:
+        print(time.perf_counter() - t0)
+    """
+)
+
+
+def test_an_interrupt_stops_the_warm_asks_in_flight(tmp_path):
+    """The interrupt is raised at once, not after the timeout, and no worker or ask is left."""
+    sleeper = tmp_path / "sleeper.py"
+    sleeper.write_text(
+        "import os, sys, time\n"
+        "open(os.path.join(sys.argv[1], str(os.getpid())), 'w').write(str(os.getppid()))\n"
+        "time.sleep(60)\n"
+    )
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", INTERRUPTED_AUDIT, str(pids), str(sleeper)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 3.0
+    asks = list(pids.iterdir())
+    assert len(asks) == 2
+    for pid in {int(f.name) for f in asks} | {int(f.read_text()) for f in asks}:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
 @pytest.mark.parametrize(
     "worker, broken",
     [
@@ -724,7 +772,7 @@ def test_external_command_that_cannot_start_is_a_step_error(tmp_path, sym_juncti
     with pytest.raises(StepError, match=f"external semi-group {path} could not be started: "):
         external.evolve_cl(states, [0.1, 0.2])
     assert threading.active_count() == threads
-    assert _kept(external) == {"_child_path"}
+    assert _kept(external) == set()
 
 
 # The thread-pool variables every external call is given; the names are the runtimes' own.
@@ -858,7 +906,6 @@ def test_external_calls_import_a_compiled_copy_of_the_package(
         assert Path(imported) == copy / "junctionflow" / "__init__.py" and cached
         assert env["PYTHONDONTWRITEBYTECODE"] == "1"
         assert env["modules"] == sources
-    assert not copy.exists()  # removed with the handle
 
 
 test_external_calls_import_a_compiled_copy_of_the_package_one_shot = one_shot_twin(
@@ -866,7 +913,8 @@ test_external_calls_import_a_compiled_copy_of_the_package_one_shot = one_shot_tw
 )
 
 
-def test_one_handle_compiles_the_package_once(tmp_path, sym_junction, monkeypatch, bytecode_environment):
+def test_one_process_compiles_the_package_once(tmp_path, sym_junction, monkeypatch, bytecode_environment):
+    """Later evolves, a ``replace``d handle and a second handle reuse the copy; another PYTHONPATH makes another."""
     import py_compile
 
     compiled = []
@@ -877,17 +925,58 @@ def test_one_handle_compiles_the_package_once(tmp_path, sym_junction, monkeypatc
         return compile_(source, **kwargs)
 
     monkeypatch.setattr(py_compile, "compile", counted)
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([str(ROOT), str(tmp_path)]))  # a PYTHONPATH no other test uses
     external, log = _logging_handle(tmp_path, sym_junction)
     state = riemann_field(external.grid, 0.5, 0.25)
     external.evolve_cl([state], [0.1])
     modules = len(compiled)
     assert modules == len(list(PACKAGE.glob("*.py")))
-    copy = external._child_path[1].name
     external.evolve_cl([state], [0.2, 0.3])
-    assert len(compiled) == modules and external._child_path[1].name == copy and len(_calls(log)) == 3
-    fresh = dataclasses.replace(external)
-    fresh.evolve_cl([state], [0.1])
-    assert len(compiled) == 2 * modules and fresh._child_path[1].name != copy
+    assert len(compiled) == modules and len(_calls(log)) == 3
+    dataclasses.replace(external).evolve_cl([state], [0.1])
+    second = SemigroupHandle("hj", sym_junction, COARSE, command=external.command)
+    second.evolve_hj([NodeField(COARSE, 0.25 * COARSE.node_coords())], [0.1])
+    assert len(compiled) == modules and len(_calls(log)) == 5
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([str(tmp_path), str(ROOT)]))
+    external.evolve_cl([state], [0.1])
+    assert len(compiled) == 2 * modules
+    assert len({Path(source).parents[1] for source in compiled}) == 2
+
+
+# Runs one external evolve in the process that runs it, with PYTHONPATH the package's root,
+# then forks a child that ends through the interpreter's exit; prints the copy the calls imported.
+AUDITING_PROCESS = textwrap.dedent(
+    """
+    import os, sys
+    from junctionflow import Grid, JunctionModel, QuadraticFlux, SemigroupHandle, riemann_field, verifier
+
+    model = JunctionModel(QuadraticFlux(1.0, 0.25), QuadraticFlux(1.0, 0.25), 0.1875)
+    command = (sys.executable, "-c", "import shutil, sys; shutil.copyfile(sys.argv[1], sys.argv[3])")
+    external = SemigroupHandle("cl", model, Grid.from_domain(-2.0, 2.0, 16), command=command)
+    external.evolve_cl([riemann_field(external.grid, 0.5, 0.25)], [0.1])
+    copy = verifier._child_pythonpath(os.environ["PYTHONPATH"], None, None).split(os.pathsep)[0]
+    assert os.path.isdir(copy)
+    child = os.fork()
+    if child == 0:
+        sys.exit(0)
+    assert os.waitpid(child, 0)[1] == 0 and os.path.isdir(copy)  # left alone by the forked child's exit
+    print(copy)
+    """
+)
+
+
+def test_a_process_that_ran_an_audit_leaves_no_copy_of_the_package(tmp_path):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    env = {**os.environ, "TMPDIR": str(temp), "PYTHONPATH": str(ROOT), "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", AUDITING_PROCESS], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.strip()).parent == temp
+    assert Path(proc.stdout.strip()).name.startswith("junctionflow-pyc-")
+    assert list(temp.iterdir()) == []
 
 
 @pytest.mark.parametrize("case", ["not-on-path", "earlier-entry-has-another", "pycache-prefix", "unset"])
